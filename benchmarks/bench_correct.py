@@ -39,7 +39,6 @@ if str(SRC) not in sys.path:
 
 from repro.core import (Disassembler, FactBase,              # noqa: E402
                         disassemble_incremental)
-from repro.core.engine import engine_backend                 # noqa: E402
 from repro.eval.dataset import evaluation_corpus             # noqa: E402
 from repro.perf import bench_envelope, write_bench_json       # noqa: E402
 
@@ -129,8 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             "correct",
             config={"binaries": len(snapshots), "bytes": total_bytes,
                     "functions": args.functions, "seeds": [0],
-                    "repeats": args.repeats,
-                    "engine_backend": engine_backend()},
+                    "repeats": args.repeats},
             metrics={
                 "seconds": best,
                 "ms_per_binary": {

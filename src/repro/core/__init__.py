@@ -1,18 +1,15 @@
 """The paper's contribution: prioritized error-correcting disassembly."""
 
 from .config import ABLATION_CONFIGS, DEFAULT_CONFIG, DisassemblerConfig
-from .correction import CorrectionEngine, TraceOutcome
 from .disassembler import Disassembler, Disassembly
-from .engine import (FactBase, FactEngine, create_engine,
-                     disassemble_incremental, engine_backend)
+from .engine import FactBase, FactEngine, disassemble_incremental
 from .evidence import (Classification, ClassificationState, Evidence,
                        Priority)
 from .functions import FunctionSpan, identify_functions
 
 __all__ = [
     "ABLATION_CONFIGS", "DEFAULT_CONFIG", "DisassemblerConfig",
-    "CorrectionEngine", "TraceOutcome", "Disassembler", "Disassembly",
-    "Classification", "ClassificationState", "Evidence", "FactBase",
-    "FactEngine", "Priority", "FunctionSpan", "create_engine",
-    "disassemble_incremental", "engine_backend", "identify_functions",
+    "Disassembler", "Disassembly", "Classification", "ClassificationState",
+    "Evidence", "FactBase", "FactEngine", "Priority", "FunctionSpan",
+    "disassemble_incremental", "identify_functions",
 ]

@@ -31,7 +31,7 @@ from ..stats.scoring import StatisticalScorer
 from ..stats.training import Models, default_models
 from ..superset.superset import Superset, cached_superset
 from .config import DEFAULT_CONFIG, DisassemblerConfig
-from .engine import create_engine
+from .engine import FactEngine, FactExport
 from .functions import identify_functions
 
 #: Minimum mean candidate score for a detected table's targets; tables
@@ -63,9 +63,9 @@ class Disassembly:
     #: Aligned prologue-idiom scan fed to the engine (kept for the
     #: same incremental-reuse reason as the score components).
     prologues: list[int] | None = None
-    #: Derived region facts (why each region holds its classification);
-    #: None under the legacy worklist engine.
-    facts: object | None = None
+    #: Derived region facts (why each region holds its classification),
+    #: set by every run; read by ``repro lint`` and ``repro rewrite``.
+    facts: FactExport | None = None
 
 
 class Disassembler:
@@ -142,9 +142,9 @@ class Disassembler:
         bounded byte window) may likewise be supplied pre-patched.
         """
         config = self.config
-        engine = create_engine(superset, scores, config, image=image,
-                               behavior_scores=behavior,
-                               provenance=provenance)
+        engine = FactEngine(superset, scores, config, image=image,
+                            behavior_scores=behavior,
+                            provenance=provenance)
 
         # Structural phase: detected tables are data, their targets
         # code.  Statistical detection is strong but not proof (a
@@ -239,13 +239,6 @@ class Disassembler:
             return result
         engine.feedback(evidence)
         return self._finalize(engine, superset, tables, entry)
-
-    def _combined_scores(self, superset: Superset,
-                         behavior: np.ndarray | None) -> np.ndarray:
-        """Back-compat wrapper around :func:`combine_scores`."""
-        stat = (self._scorer.score_all(superset)
-                if self.config.use_statistics else None)
-        return combine_scores(self.config, superset, stat, behavior)
 
     def _validated_tables(self, text: bytes, superset: Superset,
                           scores: np.ndarray) -> list[TableCandidate]:

@@ -1,59 +1,23 @@
-"""Declarative fact/rule correction engine with a legacy-oracle seam.
+"""Declarative fact/rule correction engine.
 
-The disassembler obtains its correction engine through
-:func:`create_engine`.  By default that is :class:`FactEngine` -- the
-stratified fact/rule engine with a semi-naive fixpoint driver
-(:mod:`repro.core.engine.driver`).  Setting ``REPRO_ENGINE=worklist``
-in the environment selects the legacy hand-sequenced worklist engine
-(:class:`repro.core.correction.CorrectionEngine`) instead, which is
-kept -- unchanged -- as the differential-testing oracle: the two must
-produce byte-identical results corpus-wide (enforced by
-``tests/engine`` and the CI ``engine`` job), mirroring the
-``REPRO_DECODER=interp`` seam of :mod:`repro.isa.decoder`.
+:class:`FactEngine` is the stratified fact/rule engine with a
+semi-naive fixpoint driver (:mod:`repro.core.engine.driver`) over the
+rules of :mod:`repro.core.engine.rules`.  Its outputs on the
+evaluation corpus, every ablation config and one provenance-recording
+run are pinned by golden digests (``tests/engine/test_golden.py``).
+:mod:`repro.core.engine.incremental` re-enters the same fixpoint after
+retracting only the facts a byte patch invalidates.
 """
 
 from __future__ import annotations
-
-import os
 
 from .driver import FactEngine
 from .facts import (CodeClaim, DataClaim, EntryFact, FactExport, FactStore,
                     PendingCall, PrologueFact, RegionFact, TableFact)
 from .incremental import FactBase, diff_spans, disassemble_incremental
 
-_BACKEND = "facts"
-if os.environ.get("REPRO_ENGINE", "facts").strip().lower() \
-        in ("worklist", "legacy"):
-    _BACKEND = "worklist"
-
-
-def engine_backend() -> str:
-    """The active correction backend: ``"facts"`` or ``"worklist"``."""
-    return _BACKEND
-
-
-def create_engine(superset, scores, config, *, image=None,
-                  behavior_scores=None, provenance=None):
-    """The correction engine selected by ``REPRO_ENGINE``.
-
-    Both backends implement the same driver protocol
-    (``ingest`` / ``solve`` / ``finish`` / ``feedback`` / ``facts``)
-    plus the shared surface the toolchain reads afterwards
-    (``state``, ``log``, ``resolved_tables``, ``noreturn_entries``).
-    """
-    if _BACKEND == "worklist":
-        from ..correction import CorrectionEngine
-        return CorrectionEngine(superset, scores, config, image=image,
-                                behavior_scores=behavior_scores,
-                                provenance=provenance)
-    return FactEngine(superset, scores, config, image=image,
-                      behavior_scores=behavior_scores,
-                      provenance=provenance)
-
-
 __all__ = [
     "CodeClaim", "DataClaim", "EntryFact", "FactBase", "FactEngine",
     "FactExport", "FactStore", "PendingCall", "PrologueFact",
-    "RegionFact", "TableFact", "create_engine", "diff_spans",
-    "disassemble_incremental", "engine_backend",
+    "RegionFact", "TableFact", "diff_spans", "disassemble_incremental",
 ]

@@ -1,15 +1,11 @@
 """The semi-naive fixpoint driver of the fact/rule correction engine.
 
-:class:`FactEngine` is a drop-in replacement for the legacy
-:class:`repro.core.correction.CorrectionEngine` (selected through
-:func:`repro.core.engine.create_engine`).  Instead of hand-sequenced
-``drain()`` / ``_retry_dispatches()`` loops, it runs a stratified
+:class:`FactEngine` runs prioritized error correction as a stratified
 fixpoint over typed facts:
 
 * Claims (derived code/data assertions) queue on a prioritized
-  **agenda** and are consumed strongest-first -- the agenda order is
-  the legacy evidence-heap order, bit for bit, so the two engines make
-  identical decisions in identical order.
+  **agenda** and are consumed strongest-(priority, weight)-first,
+  ties broken by insertion order, so decisions are deterministic.
 * Set-valued rules (dispatch retry, call continuations) fire only when
   one of their input relations has changed since their last barren
   attempt -- the semi-naive property, tracked through the fact store's
@@ -42,8 +38,6 @@ from .rules import (CallContinuationRule, DataRule, DispatchRetryRule,
 
 class FactEngine:
     """Stratified fact/rule engine over one text section."""
-
-    backend = "facts"
 
     def __init__(self, superset: Superset, scores: np.ndarray,
                  config: DisassemblerConfig,
@@ -97,11 +91,8 @@ class FactEngine:
                                       next(self._sequence), claim))
 
     def push(self, evidence: Evidence) -> None:
-        """Legacy-typed entry point: converts Evidence into a claim.
-
-        Kept so external evidence producers (lint feedback) need not
-        know which engine is active.
-        """
+        """Queue :class:`Evidence` from an external producer (lint
+        feedback) as the equivalent claim."""
         if evidence.kind == "data":
             self.push_claim(DataClaim(evidence.offset, evidence.end,
                                       evidence.priority, evidence.weight,
@@ -155,7 +146,7 @@ class FactEngine:
             return
 
     # ------------------------------------------------------------------
-    # Driver protocol (shared with CorrectionEngine)
+    # Driver protocol
     # ------------------------------------------------------------------
 
     def ingest(self, tables, entry: int | None, prologues) -> None:
@@ -182,7 +173,7 @@ class FactEngine:
         """Strata 2 and 3: settle gaps, seal leftovers, realign."""
         if not self.config.use_prioritized_correction:
             # Ablation path: one address-order pass, no realignment,
-            # sealed under the same pass id (matches the oracle).
+            # sealed under the same pass id.
             self.pass_id = "gaps-single-pass"
             self.gap_rule.run_single_pass()
             self.seal_rule.fire()

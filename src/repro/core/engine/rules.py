@@ -1,9 +1,8 @@
 """The correction rules of the declarative fact/rule engine.
 
-Each correction pass of the legacy worklist engine
-(:mod:`repro.core.correction`) is re-expressed here as a :class:`Rule`
-with a declared **stratum** (when it may fire) and an explicit set of
-input relations (what makes it fire again).  The semi-naive driver in
+Each correction pass is a :class:`Rule` with a declared **stratum**
+(when it may fire) and an explicit set of input relations (what makes
+it fire again).  The semi-naive driver in
 :mod:`repro.core.engine.driver` consults per-relation version counters
 so a rule never re-derives from an unchanged input set.
 
@@ -21,11 +20,9 @@ stratum 2   gap completion (``GapRule``, ``GapSealRule``)
 stratum 3   residue realignment (``RealignRule``)
 ==========  =====================================================
 
-The rule bodies deliberately reimplement the legacy algorithms rather
-than importing them: the worklist engine (``REPRO_ENGINE=worklist``)
-stays a genuinely independent differential oracle, and the corpus-wide
-equivalence suite (:mod:`tests.engine`) enforces that the two stay in
-sync down to byte-identical results, logs, and provenance.
+Golden digests (``tests/engine/test_golden.py``) pin what the rules
+produce: results and correction logs on the evaluation corpus, results
+under every ablation config, and one provenance event stream.
 """
 
 from __future__ import annotations
@@ -40,9 +37,8 @@ from ..tables import (ResolvedTable, resolve_indirect_call,
 from .facts import (CodeClaim, DataClaim, PendingCall, RegionFact,
                     TableFact, TraceResult)
 
-#: Pipeline metrics.  Registration is get-or-create by name, so these
-#: are the *same* counter objects the legacy engine increments -- the
-#: dashboards cannot tell the backends apart.
+#: Pipeline metrics, registered with the process-global registry on
+#: import.
 _TRACES = REGISTRY.counter(
     "repro_traces_total",
     "Control-flow traces processed by the correction engine, by outcome")

@@ -117,12 +117,9 @@ class Rewriter:
         A range is only pinned when no accepted instruction *outside*
         it branches into it and it contains no identified function
         entry, so everything the rewriter must retarget stays on the
-        re-encoding path.  Requires the fact engine's region facts;
-        under the legacy worklist engine (no facts) nothing is pinned.
+        re-encoding path.
         """
-        facts = getattr(self.disassembly, "facts", None)
-        if facts is None:
-            return []
+        facts = self.disassembly.facts
         candidates = [f for f in facts
                       if f.label == "code"
                       and f.priority <= Priority.SOFT

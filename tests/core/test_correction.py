@@ -3,18 +3,18 @@
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.correction import CorrectionEngine
+from repro.core.engine import FactEngine
 from repro.core.evidence import Evidence, Priority
 from repro.isa import Assembler
 from repro.isa.registers import RAX, RBP, RSP
 from repro.superset import Superset
 
 
-def engine_for(text: bytes, scores=None) -> CorrectionEngine:
+def engine_for(text: bytes, scores=None) -> FactEngine:
     superset = Superset.build(text)
     if scores is None:
         scores = np.zeros(len(text))
-    return CorrectionEngine(superset, scores, DEFAULT_CONFIG)
+    return FactEngine(superset, scores, DEFAULT_CONFIG)
 
 
 def assemble(fn) -> bytes:
@@ -28,7 +28,7 @@ class TestTracing:
         text = assemble(lambda a: (a.push_r(RBP), a.mov_rr(RBP, RSP),
                                    a.ret()))
         engine = engine_for(text)
-        outcome = engine.trace(0, Priority.ANCHOR, "test")
+        outcome = engine.trace_rule.derive(0, Priority.ANCHOR, "test")
         assert not outcome.aborted
         assert outcome.accepted == {0, 1, 4}
         assert engine.state.is_code_start(0)
@@ -41,7 +41,7 @@ class TestTracing:
             a.ret()
         text = assemble(body)
         engine = engine_for(text)
-        outcome = engine.trace(0, Priority.ANCHOR, "test")
+        outcome = engine.trace_rule.derive(0, Priority.ANCHOR, "test")
         assert 8 in outcome.accepted
         assert engine.state.is_unknown(5)
 
@@ -53,13 +53,13 @@ class TestTracing:
             a.ret()
         text = assemble(body)
         engine = engine_for(text)
-        outcome = engine.trace(0, Priority.ANCHOR, "test")
+        outcome = engine.trace_rule.derive(0, Priority.ANCHOR, "test")
         assert outcome.call_targets == {6}
 
     def test_trace_aborts_on_early_invalid(self):
         text = b"\x90\x90\x06" + b"\x90" * 8
         engine = engine_for(text)
-        outcome = engine.trace(0, Priority.SOFT, "test")
+        outcome = engine.trace_rule.derive(0, Priority.SOFT, "test")
         assert outcome.aborted
         # Rollback: nothing stays marked.
         assert engine.state.is_unknown(0)
@@ -69,7 +69,7 @@ class TestTracing:
         text = assemble(lambda a: (a.nop(2), a.ret()))
         engine = engine_for(text)
         engine.state.mark_data(1, 3, Priority.STRUCTURAL)
-        outcome = engine.trace(0, Priority.SOFT, "test")
+        outcome = engine.trace_rule.derive(0, Priority.SOFT, "test")
         assert outcome.aborted
         assert engine.state.is_unknown(0)
 
@@ -77,15 +77,15 @@ class TestTracing:
         text = assemble(lambda a: (a.nop(2), a.ret()))
         engine = engine_for(text)
         engine.state.mark_data(0, 3, Priority.SOFT)
-        outcome = engine.trace(0, Priority.ANCHOR, "test")
+        outcome = engine.trace_rule.derive(0, Priority.ANCHOR, "test")
         assert not outcome.aborted
         assert engine.state.is_code_start(0)
 
     def test_trace_joins_existing_code(self):
         text = assemble(lambda a: (a.nop(1), a.nop(1), a.ret()))
         engine = engine_for(text)
-        engine.trace(1, Priority.ANCHOR, "first")
-        outcome = engine.trace(0, Priority.ANCHOR, "second")
+        engine.trace_rule.derive(1, Priority.ANCHOR, "first")
+        outcome = engine.trace_rule.derive(0, Priority.ANCHOR, "second")
         assert not outcome.aborted
         assert engine.state.is_code_start(0)
 
@@ -98,7 +98,7 @@ class TestTracing:
             a.db(b"\x01\x02\x03")
         text = assemble(body)
         engine = engine_for(text)
-        outcome = engine.trace(0, Priority.ANCHOR, "test")
+        outcome = engine.trace_rule.derive(0, Priority.ANCHOR, "test")
         assert 8 in outcome.rip_references
 
 
@@ -107,13 +107,13 @@ class TestEvidenceQueue:
         text = assemble(lambda a: (a.ret(), a.ret()))
         engine = engine_for(text)
         order = []
-        original = engine._apply
+        original = engine.trace_rule.fire
 
-        def spy(evidence):
-            order.append(evidence.source)
-            original(evidence)
+        def spy(claim):
+            order.append(claim.source)
+            original(claim)
 
-        engine._apply = spy
+        engine.trace_rule.fire = spy
         engine.push(Evidence("code", 0, 0, Priority.SOFT, 1.0, "soft"))
         engine.push(Evidence("code", 1, 1, Priority.ANCHOR, 1.0, "anchor"))
         engine.drain()
@@ -123,13 +123,13 @@ class TestEvidenceQueue:
         text = assemble(lambda a: (a.ret(), a.ret()))
         engine = engine_for(text)
         order = []
-        original = engine._apply
+        original = engine.trace_rule.fire
 
-        def spy(evidence):
-            order.append(evidence.weight)
-            original(evidence)
+        def spy(claim):
+            order.append(claim.weight)
+            original(claim)
 
-        engine._apply = spy
+        engine.trace_rule.fire = spy
         engine.push(Evidence("code", 0, 0, Priority.SOFT, 1.0, "low"))
         engine.push(Evidence("code", 1, 1, Priority.SOFT, 9.0, "high"))
         engine.drain()
@@ -150,7 +150,7 @@ class TestGapCompletion:
         # Invalid bytes everywhere: nothing to accept.
         text = b"\x06" * 16
         engine = engine_for(text, scores=np.full(16, -5.0))
-        engine.complete_gaps()
+        engine.finish()
         assert not engine.state.unknown_gaps()
         assert engine.state.data_regions() == [(0, 16)]
 
@@ -166,37 +166,37 @@ class TestGapCompletion:
         superset = Superset.build(text)
         scores = StatisticalScorer(models.code, models.data
                                    ).score_all(superset)
-        engine = CorrectionEngine(superset, scores, DEFAULT_CONFIG)
-        engine.complete_gaps()
+        engine = FactEngine(superset, scores, DEFAULT_CONFIG)
+        engine.finish()
         assert engine.state.is_code_start(0)
         assert not engine.state.unknown_gaps()
 
     def test_clean_tile_helper(self):
         text = assemble(lambda a: (a.nop(1), a.nop(1), a.ret()))
         engine = engine_for(text)
-        assert engine._clean_tile(0, 3) == [(0, 1), (1, 1), (2, 1)]
-        assert engine._clean_tile(0, 2) == [(0, 1), (1, 1)]
-        assert engine._clean_tile(1, 3) == [(1, 1), (2, 1)]
+        assert engine.realign_rule._clean_tile(0, 3) == [(0, 1), (1, 1), (2, 1)]
+        assert engine.realign_rule._clean_tile(0, 2) == [(0, 1), (1, 1)]
+        assert engine.realign_rule._clean_tile(1, 3) == [(1, 1), (2, 1)]
 
     def test_clean_tile_rejects_overhang(self):
         text = assemble(lambda a: (a.mov_ri(RAX, 7, width=32), a.ret()))
-        assert engine_for(text)._clean_tile(0, 3) is None
+        assert engine_for(text).realign_rule._clean_tile(0, 3) is None
 
     def test_realign_residue(self):
         # Confirmed code at 3; bytes 0-2 decode cleanly into it.
         text = assemble(lambda a: (a.nop(3), a.ret()))
         engine = engine_for(text)
-        engine.trace(3, Priority.ANCHOR, "anchor")
+        engine.trace_rule.derive(3, Priority.ANCHOR, "anchor")
         engine.state.mark_data(0, 3, Priority.SOFT)
-        engine.realign_residues()
+        engine.realign_rule.fire()
         assert engine.state.is_code_start(0)
 
     def test_realign_skips_structural_data(self):
         text = assemble(lambda a: (a.nop(3), a.ret()))
         engine = engine_for(text)
-        engine.trace(3, Priority.ANCHOR, "anchor")
+        engine.trace_rule.derive(3, Priority.ANCHOR, "anchor")
         engine.state.mark_data(0, 3, Priority.STRUCTURAL)
-        engine.realign_residues()
+        engine.realign_rule.fire()
         assert engine.state.is_data(0)
 
 
@@ -204,31 +204,31 @@ class TestChainGate:
     def test_terminated_chain_passes(self):
         text = assemble(lambda a: (a.nop(1), a.ret()))
         engine = engine_for(text)
-        assert engine._chain_terminates_cleanly(0)
+        assert engine.gap_rule.chain_terminates_cleanly(0)
 
     def test_chain_into_trap_fails(self):
         text = assemble(lambda a: (a.nop(1), a.int3(), a.ret()))
         engine = engine_for(text)
-        assert not engine._chain_terminates_cleanly(0)
+        assert not engine.gap_rule.chain_terminates_cleanly(0)
 
     def test_chain_into_invalid_fails(self):
         engine = engine_for(b"\x90\x06\x90")
-        assert not engine._chain_terminates_cleanly(0)
+        assert not engine.gap_rule.chain_terminates_cleanly(0)
 
     def test_chain_joining_code_start_passes(self):
         text = assemble(lambda a: (a.nop(1), a.nop(1), a.ret()))
         engine = engine_for(text)
-        engine.trace(1, Priority.ANCHOR, "a")
-        assert engine._chain_terminates_cleanly(0)
+        engine.trace_rule.derive(1, Priority.ANCHOR, "a")
+        assert engine.gap_rule.chain_terminates_cleanly(0)
 
     def test_chain_joining_mid_instruction_fails(self):
         text = assemble(lambda a: (a.nop(1), a.mov_ri(RAX, 1, width=32),
                                    a.ret()))
         engine = engine_for(text)
-        engine.trace(0, Priority.ANCHOR, "a")
+        engine.trace_rule.derive(0, Priority.ANCHOR, "a")
         # Offset 2 is inside the mov; a chain reaching it mid-body fails.
         if engine.superset.is_valid(2):
-            assert not engine._chain_terminates_cleanly(2)
+            assert not engine.gap_rule.chain_terminates_cleanly(2)
 
 
 class TestSoftTraceStrictness:
@@ -249,14 +249,14 @@ class TestSoftTraceStrictness:
     def test_soft_trace_aborts_on_deep_contradiction(self):
         text = self._long_chain_into_invalid()
         engine = engine_for(text)
-        outcome = engine.trace(0, Priority.SOFT, "gap-score")
+        outcome = engine.trace_rule.derive(0, Priority.SOFT, "gap-score")
         assert outcome.aborted
         assert engine.state.is_unknown(0)
 
     def test_anchor_trace_keeps_depth_window(self):
         text = self._long_chain_into_invalid()
         engine = engine_for(text)
-        outcome = engine.trace(0, Priority.ANCHOR, "entry-point")
+        outcome = engine.trace_rule.derive(0, Priority.ANCHOR, "entry-point")
         assert not outcome.aborted
         assert engine.state.is_code_start(0)
 
@@ -269,18 +269,18 @@ class TestRealignPaddingGuard:
         text = assemble(lambda a: (a.int3(), a.int3(), a.int3(),
                                    a.int3(), a.ret()))
         engine = engine_for(text)
-        engine.trace(4, Priority.ANCHOR, "anchor")
+        engine.trace_rule.derive(4, Priority.ANCHOR, "anchor")
         engine.state.mark_data(0, 4, Priority.SOFT)
-        engine.realign_residues()
+        engine.realign_rule.fire()
         assert engine.state.is_data(0)
         assert engine.state.is_data(3)
 
     def test_mixed_residue_still_realigns(self):
         text = assemble(lambda a: (a.nop(3), a.ret()))
         engine = engine_for(text)
-        engine.trace(3, Priority.ANCHOR, "anchor")
+        engine.trace_rule.derive(3, Priority.ANCHOR, "anchor")
         engine.state.mark_data(0, 3, Priority.SOFT)
-        engine.realign_residues()
+        engine.realign_rule.fire()
         assert engine.state.is_code_start(0)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.correction import CorrectionEngine
+from repro.core.engine import FactEngine
 from repro.core.evidence import Evidence, Priority
 from repro.isa import Assembler
 from repro.isa.registers import RAX, RDI
@@ -14,8 +14,8 @@ def drained_engine(build, entry=0):
     a = Assembler()
     build(a)
     text = a.finish()
-    engine = CorrectionEngine(Superset.build(text), np.zeros(len(text)),
-                              DEFAULT_CONFIG)
+    engine = FactEngine(Superset.build(text), np.zeros(len(text)),
+                        DEFAULT_CONFIG)
     engine.push(Evidence("code", entry, entry, Priority.ANCHOR, 1.0,
                          "entry"))
     engine.drain()
@@ -72,7 +72,7 @@ class TestDeferredContinuations:
         call_offset = next(o for o in engine.state.instruction_starts()
                            if superset.at(o).mnemonic == "call")
         blob_start = superset.at(call_offset).end
-        engine.complete_gaps()
+        engine.finish()
         assert not engine.state.is_code_start(blob_start)
 
     def test_retry_resolves_order_dependent_dispatch(self):
@@ -106,6 +106,6 @@ class TestNoreturnFallSitesInGaps:
             a.bind("panic")
             a.ud2()
         engine = drained_engine(body)
-        engine.complete_gaps()
+        engine.finish()
         assert engine.state.is_data(5)
         assert not engine.state.is_code_start(5)

@@ -5,7 +5,7 @@ import numpy as np
 from repro.binary.container import Section
 from repro.binary.image import MemoryImage
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.correction import CorrectionEngine
+from repro.core.engine import FactEngine
 from repro.core.evidence import Priority
 from repro.core.tables import (backward_chain,
                                resolve_indirect_jump)
@@ -17,8 +17,8 @@ from repro.superset import Superset
 def traced_engine(text: bytes, image=None, seed: int = 0):
     from repro.core.evidence import Evidence
     superset = Superset.build(text)
-    engine = CorrectionEngine(superset, np.zeros(len(text)),
-                              DEFAULT_CONFIG, image=image)
+    engine = FactEngine(superset, np.zeros(len(text)),
+                        DEFAULT_CONFIG, image=image)
     engine.push(Evidence("code", seed, seed, Priority.ANCHOR, 1.0, "test"))
     engine.drain()
     return engine
@@ -82,8 +82,8 @@ class TestAbsoluteJumpTable:
     def test_engine_marks_resolved_table_as_data(self):
         text = self.build()
         superset = Superset.build(text)
-        engine = CorrectionEngine(superset, np.zeros(len(text)),
-                                  DEFAULT_CONFIG)
+        engine = FactEngine(superset, np.zeros(len(text)),
+                            DEFAULT_CONFIG)
         from repro.core.evidence import Evidence
         engine.push(Evidence("code", 0, 0, Priority.ANCHOR, 1.0, "entry"))
         engine.drain()

@@ -179,7 +179,7 @@ class TestGlobalRegistry:
     def test_pipeline_metrics_are_registered(self):
         # Importing the pipeline registers its instrumentation points
         # with the process-global registry.
-        import repro.core.correction      # noqa: F401
+        import repro.core.engine.rules    # noqa: F401
         import repro.superset.superset    # noqa: F401
         for name in ("repro_traces_total",
                      "repro_bytes_reclassified_total",
