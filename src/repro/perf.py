@@ -106,25 +106,6 @@ class PhaseTimings:
 BENCH_SCHEMA = "repro-bench-v1"
 
 
-def bench_payload(**extra) -> dict:
-    """Environment stamp for BENCH_*.json dumps (legacy free-form).
-
-    Prefer :func:`bench_envelope`, which adds the structured
-    ``tool`` / ``config`` / ``metrics`` split the run-record store
-    ingests without per-script adapters.
-    """
-    from .isa.decoder import decoder_backend  # lazy: perf is low-level
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "decoder_backend": decoder_backend(),
-    }
-    payload.update(extra)
-    return payload
-
-
 def bench_envelope(tool: str, config: dict | None = None,
                    metrics: dict | None = None, **extra) -> dict:
     """The unified ``repro-bench-v1`` envelope every bench script emits.
@@ -137,14 +118,24 @@ def bench_envelope(tool: str, config: dict | None = None,
     * ``metrics`` holds the measured numbers (arbitrarily nested;
       numeric leaves), the only part regression trending looks at.
 
-    ``extra`` lands at the top level for artifact-specific payloads
-    that other consumers address directly (e.g. ``trend=...``, which
+    The envelope also stamps the environment (Python version,
+    platform, CPU count, decoder backend).  ``extra`` lands at the top
+    level for artifact-specific payloads that other consumers address
+    directly (e.g. ``trend=...``, which
     ``repro.fleet.aggregate.load_trend`` expects beside ``metrics``).
     """
-    envelope = bench_payload(tool=tool, config=dict(config or {}),
-                             metrics=dict(metrics or {}))
-    envelope.update(extra)
-    return envelope
+    from .isa.decoder import decoder_backend  # lazy: perf is low-level
+    return {
+        "schema": BENCH_SCHEMA,
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "decoder_backend": decoder_backend(),
+        "tool": tool,
+        "config": dict(config or {}),
+        "metrics": dict(metrics or {}),
+        **extra,
+    }
 
 
 def validate_bench_envelope(doc: dict) -> list[str]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.perf import (PhaseTimings, bench_envelope, bench_payload,
+from repro.perf import (PhaseTimings, bench_envelope,
                         validate_bench_envelope, write_bench_json)
 from repro.synth import BinarySpec, MSVC_LIKE, generate_binary
 
@@ -119,13 +119,13 @@ class TestPhaseTimings:
 
 class TestBenchJson:
     def test_write_bench_json_round_trips(self, tmp_path):
-        payload = bench_payload(kind="unit-test", numbers={"x": 1.5})
+        payload = bench_envelope("unit-test", metrics={"x": 1.5})
         path = write_bench_json(tmp_path / "sub" / "BENCH_test.json",
                                 payload)
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == "repro-bench-v1"
-        assert loaded["kind"] == "unit-test"
-        assert loaded["numbers"] == {"x": 1.5}
+        assert loaded["tool"] == "unit-test"
+        assert loaded["metrics"] == {"x": 1.5}
         assert loaded["cpu_count"] >= 1
 
 
