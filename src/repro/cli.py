@@ -78,6 +78,19 @@ def _load_image(path: Path) -> LoadedImage:
     return load_any(path.read_bytes())
 
 
+def _render_timings(timings: dict[str, float]) -> str:
+    """The ``--profile`` block: one ms/share row per phase, then total."""
+    if not timings:
+        return "no phases recorded"
+    width = max(len(name) for name in timings)
+    total = sum(timings.values())
+    lines = [f"{name.ljust(width)}  {seconds * 1000:9.1f}ms"
+             f"  {100.0 * seconds / (total or 1.0):5.1f}%"
+             for name, seconds in timings.items()]
+    lines.append(f"{'total'.ljust(width)}  {total * 1000:9.1f}ms")
+    return "\n".join(lines)
+
+
 def _cmd_disasm(args: argparse.Namespace) -> int:
     try:
         image = _load_image(Path(args.binary))
@@ -97,7 +110,7 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     print(result.summary())
     if args.profile:
         print("\nphase timings:")
-        print(rich.timings.render())
+        print(_render_timings(rich.timings))
         print()
     if args.listing:
         print(render_listing(text, result))

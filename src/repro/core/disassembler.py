@@ -24,7 +24,6 @@ from ..binary.image import MemoryImage
 from ..binary.loader import TestCase
 from ..obs.provenance import ProvenanceLog
 from ..obs.trace import current_tracer, phase_span
-from ..perf import PhaseTimings
 from ..result import DisassemblyResult
 from ..stats.datamodel import TableCandidate, find_jump_tables
 from ..stats.scoring import StatisticalScorer
@@ -50,7 +49,8 @@ class Disassembly:
     log: list[str]
     noreturn_entries: set[int]
     resolved_tables: list = field(default_factory=list)   # engine's ResolvedTables
-    timings: PhaseTimings = field(default_factory=PhaseTimings)
+    #: Phase name -> wall-clock seconds, in pipeline order.
+    timings: dict[str, float] = field(default_factory=dict)
     #: Per-byte decision audit trail; None unless the run was made with
     #: ``DisassemblerConfig.record_provenance`` (see ``repro explain``).
     provenance: ProvenanceLog | None = None
@@ -94,17 +94,17 @@ class Disassembler:
 
     def disassemble_rich(self, target: Binary | TestCase | bytes,
                          entry: int | None = None, *,
-                         timings: PhaseTimings | None = None) -> Disassembly:
+                         timings: dict[str, float] | None = None
+                         ) -> Disassembly:
         """Disassemble and return the result plus intermediate state.
 
-        ``timings`` lets a caller accumulate phase durations across
-        many runs into one :class:`PhaseTimings` (the serving layer
-        aggregates per-batch worker timings this way); by default each
-        run gets a fresh timer.
+        ``timings`` lets a caller accumulate phase seconds across many
+        runs into one dict (the serving layer sums a batch's worker
+        timings this way); by default each run gets a fresh dict.
         """
         text, entry, image = _extract(target, entry)
         config = self.config
-        timings = timings if timings is not None else PhaseTimings()
+        timings = timings if timings is not None else {}
         provenance = ProvenanceLog() if config.record_provenance else None
 
         with ExitStack() as stack:
@@ -129,7 +129,7 @@ class Disassembler:
     def _correct(self, text: bytes, entry: int, image: MemoryImage,
                  superset: Superset, stat: np.ndarray | None,
                  behavior: np.ndarray | None, scores: np.ndarray,
-                 timings: PhaseTimings,
+                 timings: dict[str, float],
                  provenance: ProvenanceLog | None, *,
                  prologues: list[int] | None = None) -> Disassembly:
         """The correction tail shared by cold and incremental runs.
@@ -177,7 +177,6 @@ class Disassembler:
                 result = self._lint_refine(engine, superset, tables,
                                            entry, result)
 
-        engine.log.extend(timings.log_lines())
         return Disassembly(result=result, superset=superset, scores=scores,
                            tables=tables, log=engine.log,
                            noreturn_entries=set(engine.noreturn_entries),

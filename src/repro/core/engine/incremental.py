@@ -39,7 +39,6 @@ from ...isa.tables import MAX_INSTRUCTION_LENGTH
 from ...obs.metrics import REGISTRY
 from ...obs.provenance import ProvenanceLog
 from ...obs.trace import current_tracer, phase_span
-from ...perf import PhaseTimings
 from ...superset import superset as superset_mod
 from ...superset.superset import _RUN_FAST_WINDOW, Superset
 from ..config import DisassemblerConfig
@@ -193,7 +192,7 @@ def _patch_superset(old: Superset, text: bytes,
 
 def disassemble_incremental(disassembler, base: FactBase, target,
                             entry: int | None = None, *,
-                            timings: PhaseTimings | None = None):
+                            timings: dict[str, float] | None = None):
     """Re-disassemble ``target`` reusing ``base`` where bytes agree.
 
     Returns ``(disassembly, stats)``.  Falls back to a full cold run
@@ -235,7 +234,7 @@ def disassemble_incremental(disassembler, base: FactBase, target,
     stats.changed_bytes = sum(end - start for start, end in spans)
     _INCREMENTAL.inc(outcome="incremental")
 
-    timings = timings if timings is not None else PhaseTimings()
+    timings = timings if timings is not None else {}
     provenance = ProvenanceLog() if config.record_provenance else None
     score_back = (config.chain_window * MAX_INSTRUCTION_LENGTH
                   + _RUN_FAST_WINDOW)

@@ -327,21 +327,19 @@ def activate(path: str | Path | None = None,
 
 
 # ----------------------------------------------------------------------
-# The PhaseTimings bridge
+# Phase timing
 # ----------------------------------------------------------------------
 
 @contextmanager
-def phase_span(name: str, timings=None, *, tracer: Tracer | None = None,
-               **attrs):
-    """Time a pipeline phase as both a span and a PhaseTimings bucket.
+def phase_span(name: str, timings: dict[str, float] | None = None, *,
+               tracer: Tracer | None = None, **attrs):
+    """Time a pipeline phase as a span and add it to ``timings[name]``.
 
     The single measurement point for phase durations: when tracing is
-    active the phase duration *is* the span duration (PhaseTimings
-    becomes a view over spans, so ``--profile`` and ``--trace`` can
-    never disagree); when tracing is off this degrades to exactly
-    :meth:`repro.perf.PhaseTimings.phase`.  ``timings`` is duck-typed
-    (anything with ``add(name, seconds)``) so this module needs no
-    import of :mod:`repro.perf`.
+    active the phase duration *is* the span duration, so ``--profile``
+    and ``--trace`` can never disagree; when tracing is off it is a
+    plain ``perf_counter`` difference and no span is opened.  Re-entering
+    a name accumulates into the same ``timings`` entry.
 
     This is also where the sampling profiler learns which phase is
     active (:func:`repro.obs.profile.enter_phase`); with no profiler
@@ -356,7 +354,8 @@ def phase_span(name: str, timings=None, *, tracer: Tracer | None = None,
                 yield None
             finally:
                 if timings is not None:
-                    timings.add(name, time.perf_counter() - started)
+                    elapsed = time.perf_counter() - started
+                    timings[name] = timings.get(name, 0.0) + elapsed
             return
         span = None
         try:
@@ -364,7 +363,7 @@ def phase_span(name: str, timings=None, *, tracer: Tracer | None = None,
                 yield span
         finally:
             if timings is not None and span is not None:
-                timings.add(name, span.duration)
+                timings[name] = timings.get(name, 0.0) + span.duration
     finally:
         if tagged:
             _profile.exit_phase()

@@ -10,8 +10,7 @@ a fixed, finite input set, as sha256 digests:
 ``cases``
     every :func:`~repro.eval.dataset.evaluation_corpus` case under the
     default config: the canonical ``DisassemblyResult`` JSON and the
-    correction log (``"phase "`` timing lines removed, so the digest
-    does not depend on wall-clock time);
+    correction log (decision lines only, no wall-clock timing);
 ``ablations``
     every :data:`~repro.core.ABLATION_CONFIGS` variant on
     ``msvc-like-s0``: the result JSON;
@@ -65,9 +64,8 @@ def run(name: str, config: DisassemblerConfig | None = None):
 def case_digests(name: str) -> dict[str, str]:
     """Result and correction-log digests of one default-config run."""
     rich = run(name)
-    log = [line for line in rich.log if not line.startswith("phase ")]
     return {"result": sha256(rich.result.to_json()),
-            "log": sha256("\n".join(log))}
+            "log": sha256("\n".join(rich.log))}
 
 
 def ablation_digests(config_name: str) -> dict[str, str]:

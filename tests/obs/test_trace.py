@@ -2,13 +2,13 @@
 
 import json
 import os
+import time
 
 from repro.obs.schema import validate_jsonl
 from repro.obs.trace import (SPAN_SCHEMA, Span, SpanContext, Tracer,
                              activate, current_tracer, phase_span,
                              set_tracer, spans_started, tracing_active,
                              trace_path_from_env)
-from repro.perf import PhaseTimings
 
 
 class TestSpanContext:
@@ -178,35 +178,61 @@ class TestProcessWideTracer:
         assert trace_path_from_env() == "/tmp/t.jsonl"
 
 
-class TestPhaseSpanBridge:
-    def test_disabled_path_matches_phase_timings(self):
-        # With no tracer this must degrade to PhaseTimings.phase: a
-        # timing bucket, no span, no span-counter movement.
-        timings = PhaseTimings()
+class TestPhaseSpan:
+    def test_disabled_path_adds_to_timings_without_a_span(self):
+        # With no tracer this is a plain perf_counter timer: a timings
+        # entry, no span, no span-counter movement.
+        timings: dict[str, float] = {}
         before = spans_started()
         with phase_span("superset", timings):
-            pass
+            time.sleep(0.01)
         assert spans_started() == before
-        assert "superset" in timings.phases
+        assert timings["superset"] >= 0.01
+
+    def test_reentered_phase_accumulates(self):
+        timings = {"loop": 1.0}
+        for _ in range(3):
+            with phase_span("loop", timings):
+                pass
+        assert list(timings) == ["loop"]
+        assert timings["loop"] >= 1.0
+
+    def test_nested_phases_account_time_to_both_levels(self):
+        # The outer entry must cover the inner one.
+        timings: dict[str, float] = {}
+        with phase_span("correction", timings):
+            with phase_span("correction/trace", timings):
+                time.sleep(0.01)
+        assert timings["correction"] >= timings["correction/trace"] >= 0.01
 
     def test_disabled_path_records_on_exception(self):
-        timings = PhaseTimings()
+        timings: dict[str, float] = {}
         try:
             with phase_span("boom", timings):
                 raise RuntimeError
         except RuntimeError:
             pass
-        assert "boom" in timings.phases
+        assert "boom" in timings
+
+    def test_traced_path_records_on_exception(self):
+        timings: dict[str, float] = {}
+        with activate():
+            try:
+                with phase_span("boom", timings):
+                    raise RuntimeError
+            except RuntimeError:
+                pass
+        assert "boom" in timings
 
     def test_traced_path_feeds_timings_from_span(self):
-        timings = PhaseTimings()
+        timings = {"scoring": 0.5}
         with activate() as tracer:
             with phase_span("scoring", timings, bytes=10) as span:
                 pass
         assert span in tracer.finished
         assert span.attrs["bytes"] == 10
-        # One measurement point: the bucket IS the span duration.
-        assert timings.phases["scoring"] == span.duration
+        # One measurement point: the entry grows by the span duration.
+        assert timings["scoring"] == 0.5 + span.duration
 
     def test_traced_path_without_timings(self):
         with activate() as tracer:
