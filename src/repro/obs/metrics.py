@@ -80,6 +80,11 @@ class Counter:
     def total(self) -> float:
         return sum(self._values.values())
 
+    def by_label(self, label: str) -> dict[str, float]:
+        """``{label value: value}`` of a one-label metric, first seen first."""
+        return {dict(key)[label]: value
+                for key, value in self._values.items()}
+
     def samples(self):
         for key in sorted(self._values):
             yield self.name, key, self._values[key]

@@ -13,7 +13,7 @@ from .access_log import AccessLog
 from .cache import ResultCache, result_key
 from .client import (BackpressureError, DeadlineError, ServeClient,
                      ServeError, TransportError)
-from .metrics import LatencySummary, ServeMetrics
+from .metrics import ServeMetrics
 from .protocol import (PROTOCOL_VERSION, JobRequest, ProtocolError,
                        config_fingerprint, config_from_overrides,
                        encode_binary)
@@ -32,7 +32,6 @@ __all__ = [
     "JobRequest",
     "JobScheduler",
     "JobTimeoutError",
-    "LatencySummary",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "QueueFullError",

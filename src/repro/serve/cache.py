@@ -8,8 +8,9 @@ response payload strings a worker produced, so a cache hit serves
 byte-identical output to the original computation.
 
 The cache lives in the server process and is only touched from the
-event-loop thread, so it needs no locking; it is bounded LRU with
-hit/miss/eviction counters surfaced on ``/metrics``.
+event-loop thread, so it needs no locking; it is bounded LRU and counts
+hits, misses and evictions into ``repro_serve_cache_total{outcome}``
+of the server's metrics registry, surfaced on ``/metrics``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 
+from ..obs.metrics import MetricsRegistry
+from .metrics import cache_lookups
 from .protocol import config_fingerprint
 
 
@@ -30,14 +33,18 @@ def result_key(blob: bytes, kind: str,
 
 
 class ResultCache:
-    """Bounded LRU mapping result keys to response payload strings."""
+    """Bounded LRU mapping result keys to response payload strings.
 
-    def __init__(self, max_entries: int = 256) -> None:
+    ``registry`` receives the lookup counter; by default the cache
+    counts into a private one.
+    """
+
+    def __init__(self, max_entries: int = 256,
+                 registry: MetricsRegistry | None = None) -> None:
         self.max_entries = max(0, int(max_entries))
         self._entries: OrderedDict[str, str] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._lookups = cache_lookups(
+            registry if registry is not None else MetricsRegistry())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,10 +52,10 @@ class ResultCache:
     def get(self, key: str) -> str | None:
         payload = self._entries.get(key)
         if payload is None:
-            self.misses += 1
+            self._lookups.inc(outcome="misses")
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self._lookups.inc(outcome="hits")
         return payload
 
     def put(self, key: str, payload: str) -> None:
@@ -59,16 +66,13 @@ class ResultCache:
         self._entries[key] = payload
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self._lookups.inc(outcome="evictions")
 
     def clear(self) -> None:
         self._entries.clear()
 
     def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        counts = {outcome: int(self._lookups.value(outcome=outcome))
+                  for outcome in ("hits", "misses", "evictions")}
+        return {"entries": len(self._entries),
+                "max_entries": self.max_entries, **counts}

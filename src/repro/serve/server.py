@@ -86,7 +86,8 @@ class ServeApp:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config if config is not None else ServeConfig()
         self.metrics = ServeMetrics()
-        self.cache = ResultCache(max_entries=self.config.cache_size)
+        self.cache = ResultCache(max_entries=self.config.cache_size,
+                                 registry=self.metrics.registry)
         self.scheduler = JobScheduler(self.config.scheduler_config(),
                                       metrics=self.metrics)
         self.access_log = AccessLog(path=self.config.access_log_path,
@@ -344,15 +345,15 @@ class ServeApp:
         if path == "/metrics":
             if method != "GET":
                 return 405, {"error": "method not allowed"}, {}, False
+            self._probe()
             if "format=prometheus" in query.split("&"):
-                return 200, _PlainText(self._prometheus_body()), {}, False
-            snapshot = self.metrics.snapshot(
-                cache_stats=self.cache.stats(),
-                extra={"queue": {
-                    "depth": self.scheduler.queue_depth(),
-                    "peak": self.metrics.queue_peak,
-                    "in_flight": self.scheduler.in_flight,
-                }})
+                # Serve-layer series plus the process-global pipeline
+                # registry (non-empty in inline mode, where jobs run in
+                # this process).
+                text = (self.metrics.registry.render_prometheus()
+                        + REGISTRY.render_prometheus())
+                return 200, _PlainText(text), {}, False
+            snapshot = self.metrics.snapshot(cache_stats=self.cache.stats())
             return 200, snapshot, {}, False
         if path in ("/v1/disassemble", "/v1/lint"):
             if method != "POST":
@@ -362,33 +363,22 @@ class ServeApp:
                                           span=span)
         return 404, {"error": f"no such endpoint: {path}"}, {}, False
 
-    def _serve_registry(self):
-        """The live serve-layer registry (health + metrics source)."""
-        return self.metrics.registry(
-            queue_depth=self.scheduler.queue_depth(),
-            in_flight=self.scheduler.in_flight,
-            workers_alive=self.scheduler.workers_alive(),
-            cache_stats=self.cache.stats())
-
-    def _prometheus_body(self) -> str:
-        # Serve-layer registry plus the process-global pipeline registry
-        # (non-empty in inline mode, where jobs run in this process).
-        return (self._serve_registry().render_prometheus()
-                + REGISTRY.render_prometheus())
+    def _probe(self) -> None:
+        """Refresh the probed gauges before a health or metrics body."""
+        self.metrics.probe(workers_alive=self.scheduler.workers_alive(),
+                           cache_entries=len(self.cache))
 
     def _healthz_body(self) -> dict:
-        registry = self._serve_registry()
+        self._probe()
+        metrics = self.metrics
         return {
             "status": "draining" if self._draining else "ok",
             "protocol": PROTOCOL_VERSION,
-            "uptime_s": round(time.time() - self.metrics.started, 3),
+            "uptime_s": round(metrics.uptime.value(), 3),
             "workers": self.config.workers,
-            "queue_depth": int(
-                registry.get("repro_serve_queue_depth").value()),
-            "in_flight": int(
-                registry.get("repro_serve_in_flight").value()),
-            "workers_alive": int(
-                registry.get("repro_serve_workers_alive").value()),
+            "queue_depth": int(metrics.queue_depth.value()),
+            "in_flight": int(metrics.in_flight.value()),
+            "workers_alive": int(metrics.workers_alive.value()),
         }
 
     async def _handle_job(self, kind: str, body: bytes, request_id: str,

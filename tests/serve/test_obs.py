@@ -19,7 +19,7 @@ class TestHealthz:
     def test_registry_gauges_back_the_health_report(self, serve_harness):
         harness = serve_harness()
         harness.client().healthz()
-        registry = harness.app._serve_registry()
+        registry = harness.app.metrics.registry
         assert registry.get("repro_serve_queue_depth").value() == 0
         assert registry.get("repro_serve_workers_alive").value() == 1
 
