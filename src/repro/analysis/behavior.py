@@ -10,97 +10,64 @@ score: positive means code-like, negative means data-like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..isa.opcodes import FlowKind
-from ..superset.superset import Superset
-from .defuse import DefUseSignals, analyze_chain
+from ..superset.superset import CHAIN_WINDOW, Superset
+from .defuse import analyze_chain
 
 #: Weights of the behavioral score components.  These are coarse,
 #: hand-calibrated log-odds-like contributions; the prioritized
 #: correction algorithm only relies on their ordering being sensible.
-@dataclass(frozen=True)
-class BehaviorWeights:
-    invalid_fallthrough: float = -4.0
-    trap_in_chain: float = -1.5
-    rare_instruction: float = -1.0
-    defuse_pair: float = 0.35
-    flag_pair: float = 0.25
-    register_anomaly: float = -0.8
-    flag_anomaly: float = -0.4
-    terminated_chain: float = 0.3
+#: ``INVALID_FALLTHROUGH`` is also the score of an undecodable offset.
+INVALID_FALLTHROUGH = -4.0
+TRAP_IN_CHAIN = -1.5
+RARE_INSTRUCTION = -1.0
+DEFUSE_PAIR = 0.35
+FLAG_PAIR = 0.25
+REGISTER_ANOMALY = -0.8
+FLAG_ANOMALY = -0.4
+TERMINATED_CHAIN = 0.3
 
 
-DEFAULT_WEIGHTS = BehaviorWeights()
-
-
-@dataclass(frozen=True)
-class BehaviorReport:
-    """Per-candidate behavioral findings."""
-
-    offset: int
-    chain_length: int
-    invalid_fallthrough: bool
-    traps: int
-    rare: int
-    signals: DefUseSignals
-    terminated: bool
-
-    def score(self, weights: BehaviorWeights = DEFAULT_WEIGHTS) -> float:
-        total = 0.0
-        if self.invalid_fallthrough:
-            total += weights.invalid_fallthrough
-        total += weights.trap_in_chain * self.traps
-        total += weights.rare_instruction * self.rare
-        total += weights.defuse_pair * self.signals.defuse_pairs
-        total += weights.flag_pair * self.signals.flag_pairs
-        total += weights.register_anomaly * self.signals.register_anomalies
-        total += weights.flag_anomaly * self.signals.flag_anomalies
-        if self.terminated:
-            total += weights.terminated_chain
-        return total / max(self.chain_length, 1)
+def _chain_score(superset: Superset, offset: int) -> float:
+    """Behavioral score of the candidate chain starting at ``offset``."""
+    chain = superset.fallthrough_chain(offset, CHAIN_WINDOW)
+    if not chain:
+        return INVALID_FALLTHROUGH
+    last = chain[-1]
+    terminated = not last.falls_through
+    total = 0.0
+    # A chain is cut by invalid bytes when it is shorter than the
+    # window, still falls through, and its next offset is inside the
+    # section but undecodable.
+    if not terminated and len(chain) < CHAIN_WINDOW:
+        nxt = last.end
+        if nxt < len(superset) and not superset.is_valid(nxt):
+            total += INVALID_FALLTHROUGH
+    traps = sum(1 for ins in chain
+                if ins.flow in (FlowKind.TRAP, FlowKind.HALT))
+    rare = sum(1 for ins in chain if ins.rare)
+    signals = analyze_chain(chain)
+    total += TRAP_IN_CHAIN * traps
+    total += RARE_INSTRUCTION * rare
+    total += DEFUSE_PAIR * signals.defuse_pairs
+    total += FLAG_PAIR * signals.flag_pairs
+    total += REGISTER_ANOMALY * signals.register_anomalies
+    total += FLAG_ANOMALY * signals.flag_anomalies
+    if terminated:
+        total += TERMINATED_CHAIN
+    return total / len(chain)
 
 
 class BehaviorAnalyzer:
-    """Computes behavioral reports and scores over a superset."""
-
-    def __init__(self, window: int = 8,
-                 weights: BehaviorWeights = DEFAULT_WEIGHTS) -> None:
-        self.window = window
-        self.weights = weights
-
-    def report(self, superset: Superset, offset: int) -> BehaviorReport:
-        chain = superset.fallthrough_chain(offset, self.window)
-        if not chain:
-            return BehaviorReport(offset, 0, True, 0, 0,
-                                  analyze_chain([]), False)
-        last = chain[-1]
-        terminated = not last.falls_through
-        # A chain is cut by invalid bytes when it is shorter than the
-        # window, still falls through, and its next offset is inside the
-        # section but undecodable.
-        invalid_fallthrough = False
-        if not terminated and len(chain) < self.window:
-            nxt = last.end
-            invalid_fallthrough = (nxt < len(superset)
-                                   and not superset.is_valid(nxt))
-
-        traps = sum(1 for ins in chain
-                    if ins.flow in (FlowKind.TRAP, FlowKind.HALT))
-        rare = sum(1 for ins in chain if ins.rare)
-        signals = analyze_chain(chain)
-        return BehaviorReport(offset=offset, chain_length=len(chain),
-                              invalid_fallthrough=invalid_fallthrough,
-                              traps=traps, rare=rare, signals=signals,
-                              terminated=terminated)
+    """Computes behavioral scores over a superset."""
 
     def score_all(self, superset: Superset) -> np.ndarray:
         """Vector of behavioral scores for every offset of the section."""
-        scores = np.full(len(superset), self.weights.invalid_fallthrough)
+        scores = np.full(len(superset), INVALID_FALLTHROUGH)
         for offset in superset.valid_offsets:
-            scores[offset] = self.report(superset, offset).score(self.weights)
+            scores[offset] = _chain_score(superset, offset)
         return scores
 
     def rescore(self, superset: Superset, offsets,
@@ -114,8 +81,4 @@ class BehaviorAnalyzer:
         path).
         """
         for offset in offsets:
-            if superset.is_valid(offset):
-                scores[offset] = self.report(superset,
-                                             offset).score(self.weights)
-            else:
-                scores[offset] = self.weights.invalid_fallthrough
+            scores[offset] = _chain_score(superset, offset)

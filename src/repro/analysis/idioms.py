@@ -17,6 +17,9 @@ from ..superset.superset import Superset
 #: Score threshold above which an offset is treated as a likely prologue.
 PROLOGUE_THRESHOLD = 2
 
+#: Function start alignment assumed wherever prologues are looked for.
+FUNCTION_ALIGNMENT = 16
+
 
 def _is_push_rbp(ins: Instruction) -> bool:
     return (ins.mnemonic == "push" and ins.operands
@@ -101,11 +104,11 @@ def padding_kind(text: bytes, offset: int) -> str | None:
     return None
 
 
-def likely_function_starts(superset: Superset, *, alignment: int = 16,
+def likely_function_starts(superset: Superset, *,
                            threshold: int = PROLOGUE_THRESHOLD) -> list[int]:
     """Aligned offsets whose candidate chain looks like a prologue."""
     starts = []
-    for offset in range(0, len(superset), alignment):
+    for offset in range(0, len(superset), FUNCTION_ALIGNMENT):
         if superset.is_valid(offset) and \
                 prologue_score(superset, offset) >= threshold:
             starts.append(offset)

@@ -1,8 +1,10 @@
 """Configuration of the prioritized disassembler.
 
-Every knob that the ablation study (T4) or the sensitivity sweep (F4)
-varies lives here, so experiment code can express variants as config
-values rather than by monkey-patching.
+Every knob a caller sets lives here: the ablation switches (T4), the
+code threshold (F4 sweeps it), and the CLI's lint-feedback and
+provenance switches.  Experiment code expresses variants as config
+values rather than by monkey-patching.  A value no caller sets is a
+constant of the module that reads it.
 """
 
 from __future__ import annotations
@@ -27,19 +29,6 @@ class DisassemblerConfig:
             idioms during tracing (ablation: structural analysis).
         code_threshold: combined score above which a gap candidate is
             accepted as code (F4 sweeps this).
-        behavior_veto: when behavioral analysis is enabled, gap
-            candidates whose behavioral score falls at or below this
-            floor are rejected outright, regardless of how code-like
-            their bytes look statistically ("behavioral properties of
-            code to flag data").
-        stat_weight / behavior_weight: mixing weights of the two soft
-            scores.
-        chain_window: instruction window for statistical and behavioral
-            chain scoring.
-        min_table_entries: minimum run length for jump-table detection.
-        min_padding_run: minimum padding-run length treated as
-            structural padding evidence.
-        alignment: function alignment assumed for prologue scanning.
         use_lint_feedback: run the oracle-free verifier
             (:mod:`repro.lint`) over the first-pass result and feed its
             actionable diagnostics back through the correction engine
@@ -51,16 +40,11 @@ class DisassemblerConfig:
             results are identical either way -- but off by default
             because the trail grows with decision count (overhead
             budget measured in ``benchmarks/bench_obs.py``).
-        strict_depth: a trace hitting a contradiction within this many
-            BFS steps of its seed is refuted and rolled back (beyond
-            it, only SOFT seeds stay strict).  Historically the
-            module constant ``STRICT_DEPTH``; now sweepable data.
-        gap_rounds: maximum gap-completion rounds before everything
-            left is sealed as data.
-        realign_max_size: largest soft-data residue the realignment
-            pass will consider converting back into code.
-        chain_limit: instruction budget of the clean-termination gate
-            applied to soft gap candidates.
+
+    Fixed parameters are not here: ``CHAIN_WINDOW`` is in
+    :mod:`repro.superset.superset`, ``FUNCTION_ALIGNMENT`` in
+    :mod:`repro.analysis.idioms`, and the correction budgets in
+    :mod:`repro.core.engine.rules`.
     """
 
     use_statistics: bool = True
@@ -70,17 +54,6 @@ class DisassemblerConfig:
     use_lint_feedback: bool = False
     record_provenance: bool = False
     code_threshold: float = 0.0
-    behavior_veto: float = 0.0
-    stat_weight: float = 1.0
-    behavior_weight: float = 1.0
-    chain_window: int = 6
-    min_table_entries: int = 3
-    min_padding_run: int = 4
-    alignment: int = 16
-    strict_depth: int = 8
-    gap_rounds: int = 25
-    realign_max_size: int = 15
-    chain_limit: int = 40
 
 
 DEFAULT_CONFIG = DisassemblerConfig()

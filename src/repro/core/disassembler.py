@@ -81,9 +81,8 @@ class Disassembler:
                  config: DisassemblerConfig = DEFAULT_CONFIG) -> None:
         self.models = models if models is not None else default_models()
         self.config = config
-        self._scorer = StatisticalScorer(self.models.code, self.models.data,
-                                         window=config.chain_window)
-        self._analyzer = BehaviorAnalyzer(window=config.chain_window)
+        self._scorer = StatisticalScorer(self.models.code, self.models.data)
+        self._analyzer = BehaviorAnalyzer()
 
     # ------------------------------------------------------------------
 
@@ -156,8 +155,7 @@ class Disassembler:
         with phase_span("tables", timings):
             tables = self._validated_tables(text, superset, scores)
             if prologues is None:
-                prologues = likely_function_starts(
-                    superset, alignment=config.alignment)
+                prologues = likely_function_starts(superset)
             engine.ingest(tables,
                           entry if 0 <= entry < len(text) else None,
                           prologues)
@@ -206,8 +204,7 @@ class Disassembler:
             and prologue_score(superset, t) >= PROLOGUE_THRESHOLD)
         functions = identify_functions(
             superset, state, entry,
-            pointer_table_targets=pointer_targets,
-            alignment=self.config.alignment)
+            pointer_table_targets=pointer_targets)
         return DisassemblyResult(
             tool="repro",
             instructions=instructions,
@@ -242,9 +239,7 @@ class Disassembler:
     def _validated_tables(self, text: bytes, superset: Superset,
                           scores: np.ndarray) -> list[TableCandidate]:
         """Detected tables whose targets actually look like code."""
-        tables = find_jump_tables(text,
-                                  min_entries=self.config.min_table_entries,
-                                  is_plausible_target=superset.is_valid)
+        tables = find_jump_tables(text, is_plausible_target=superset.is_valid)
         validated = []
         for table in tables:
             target_scores = [float(scores[t]) for t in table.targets]
@@ -264,9 +259,9 @@ def combine_scores(config: DisassemblerConfig, superset: Superset,
     """
     scores = np.zeros(len(superset))
     if config.use_statistics and stat is not None:
-        scores += config.stat_weight * stat
+        scores += stat
     if config.use_behavior and behavior is not None:
-        scores += config.behavior_weight * behavior
+        scores += behavior
     if not config.use_statistics and not config.use_behavior:
         # Degenerate configuration: fall back to "decodes at all".
         for offset in superset.valid_offsets:

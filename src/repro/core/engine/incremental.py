@@ -14,8 +14,8 @@ The support windows are conservative byte bounds:
 * a superset candidate at ``o`` reads at most ``_RUN_FAST_WINDOW``
   bytes ahead of ``o`` (the PR-6 decode-window bound);
 * a statistical or behavioral score at ``o`` examines a fall-through
-  chain of at most ``chain_window`` instructions plus one decode
-  window -- ``chain_window * MAX_INSTRUCTION_LENGTH +
+  chain of at most ``CHAIN_WINDOW`` instructions plus one decode
+  window -- ``CHAIN_WINDOW * MAX_INSTRUCTION_LENGTH +
   _RUN_FAST_WINDOW`` bytes;
 * ASCII-run membership can shift far from a patch (a new NUL
   terminates a long printable run), so penalty arrays of old and new
@@ -40,7 +40,7 @@ from ...obs.metrics import REGISTRY
 from ...obs.provenance import ProvenanceLog
 from ...obs.trace import current_tracer, phase_span
 from ...superset import superset as superset_mod
-from ...superset.superset import _RUN_FAST_WINDOW, Superset
+from ...superset.superset import CHAIN_WINDOW, _RUN_FAST_WINDOW, Superset
 from ..config import DisassemblerConfig
 
 _INCREMENTAL = REGISTRY.counter(
@@ -148,19 +148,19 @@ def _grow(array: np.ndarray, size: int) -> np.ndarray:
 
 
 def _patch_prologues(old: list[int], superset: Superset,
-                     ranges: list[tuple[int, int]],
-                     alignment: int) -> list[int]:
+                     ranges: list[tuple[int, int]]) -> list[int]:
     """Re-test the prologue idiom only at dirty aligned offsets.
 
     ``prologue_score`` reads a fall-through chain of at most four
     instructions (< one score dirty window), so aligned offsets
     outside ``ranges`` keep their old verdict.
     """
-    from ...analysis.idioms import PROLOGUE_THRESHOLD, prologue_score
+    from ...analysis.idioms import (FUNCTION_ALIGNMENT, PROLOGUE_THRESHOLD,
+                                    prologue_score)
     dirty: set[int] = set()
     for start, end in ranges:
-        first = max(0, start - start % alignment)
-        dirty.update(range(first, end, alignment))
+        first = max(0, start - start % FUNCTION_ALIGNMENT)
+        dirty.update(range(first, end, FUNCTION_ALIGNMENT))
     kept = [o for o in old if o not in dirty]
     kept.extend(o for o in sorted(dirty)
                 if o < len(superset) and superset.is_valid(o)
@@ -236,8 +236,7 @@ def disassemble_incremental(disassembler, base: FactBase, target,
 
     timings = timings if timings is not None else {}
     provenance = ProvenanceLog() if config.record_provenance else None
-    score_back = (config.chain_window * MAX_INSTRUCTION_LENGTH
-                  + _RUN_FAST_WINDOW)
+    score_back = CHAIN_WINDOW * MAX_INSTRUCTION_LENGTH + _RUN_FAST_WINDOW
     score_ranges = _dirty_ranges(spans, score_back, len(text))
     stats.dirty_ranges = score_ranges
 
@@ -254,8 +253,7 @@ def disassemble_incremental(disassembler, base: FactBase, target,
             prologues = None
             if base.prologues is not None:
                 prologues = _patch_prologues(base.prologues, superset,
-                                             score_ranges,
-                                             config.alignment)
+                                             score_ranges)
 
         with phase_span("behavior", timings):
             behavior = None

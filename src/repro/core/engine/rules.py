@@ -27,7 +27,7 @@ under every ablation config, and one provenance event stream.
 
 from __future__ import annotations
 
-from ...analysis.idioms import prologue_score
+from ...analysis.idioms import FUNCTION_ALIGNMENT, prologue_score
 from ...analysis.noreturn import compute_returning
 from ...isa.opcodes import FlowKind
 from ...obs.metrics import REGISTRY
@@ -36,6 +36,28 @@ from ..tables import (ResolvedTable, resolve_indirect_call,
                       resolve_indirect_jump)
 from .facts import (CodeClaim, DataClaim, PendingCall, RegionFact,
                     TableFact, TraceResult)
+
+#: A trace hitting a contradiction within this many BFS steps of its
+#: seed is refuted and rolled back (beyond it, only SOFT seeds stay
+#: strict).
+STRICT_DEPTH = 8
+
+#: Maximum gap-completion rounds before everything left is sealed as
+#: data.
+GAP_ROUNDS = 25
+
+#: Gap candidates whose behavioral score falls at or below this floor
+#: are rejected outright, however code-like their bytes look
+#: statistically ("behavioral properties of code to flag data").
+BEHAVIOR_VETO = 0.0
+
+#: Instruction budget of the clean-termination gate applied to soft gap
+#: candidates.
+CHAIN_LIMIT = 40
+
+#: Largest soft-data residue the realignment pass will consider
+#: converting back into code.
+REALIGN_MAX_SIZE = 15
 
 #: Pipeline metrics, registered with the process-global registry on
 #: import.
@@ -241,10 +263,9 @@ class TraceRule(Rule):
         # the strict-depth window (genuine code may legitimately abut
         # older wrong decisions far from the seed).
         strict_everywhere = priority <= Priority.SOFT
-        strict_depth = engine.config.strict_depth
 
         def contradiction(depth: int) -> bool:
-            return strict_everywhere or depth <= strict_depth
+            return strict_everywhere or depth <= STRICT_DEPTH
 
         while worklist:
             offset, depth = worklist.pop()
@@ -531,7 +552,7 @@ class GapRule(Rule):
         engine = self.engine
         from ...obs.trace import current_tracer
         tracer = current_tracer()
-        for round_index in range(engine.config.gap_rounds):
+        for round_index in range(GAP_ROUNDS):
             gaps = engine.state.unknown_gaps()
             if not gaps:
                 break
@@ -602,8 +623,7 @@ class GapRule(Rule):
             if not engine.superset.is_valid(offset):
                 continue
             if engine.behavior_scores is not None and \
-                    engine.behavior_scores[offset] <= \
-                    engine.config.behavior_veto:
+                    engine.behavior_scores[offset] <= BEHAVIOR_VETO:
                 vetoed += 1
                 if recording:
                     engine.note("reject-candidate", offset, offset + 1,
@@ -611,7 +631,7 @@ class GapRule(Rule):
                                 detail=f"behavioral score "
                                        f"{float(engine.behavior_scores[offset]):.2f}"
                                        f" <= veto floor "
-                                       f"{engine.config.behavior_veto:.2f}",
+                                       f"{BEHAVIOR_VETO:.2f}",
                                 score=float(engine.behavior_scores[offset]))
                 continue   # behavioral veto: behaves like data
             score = float(engine.scores[offset])
@@ -663,7 +683,7 @@ class GapRule(Rule):
         engine = self.engine
         state = engine.state
         current = offset
-        for _ in range(engine.config.chain_limit):
+        for _ in range(CHAIN_LIMIT):
             instruction = engine.superset.at(current)
             if instruction is None:
                 return False
@@ -702,10 +722,10 @@ class GapRule(Rule):
         # neighbors can shift the boundary by a few bytes.
         offsets.update(range(start, min(end, start + 2)))
         offsets.update(range(cursor, min(end, cursor + 12)))
-        alignment = engine.config.alignment
-        aligned = start + (-start % alignment)
-        for candidate in range(aligned, min(end, aligned + 4 * alignment),
-                               alignment):
+        aligned = start + (-start % FUNCTION_ALIGNMENT)
+        for candidate in range(aligned,
+                               min(end, aligned + 4 * FUNCTION_ALIGNMENT),
+                               FUNCTION_ALIGNMENT):
             offsets.add(candidate)
         return sorted(o for o in offsets if start <= o < end)
 
@@ -750,9 +770,8 @@ class RealignRule(Rule):
     def fire(self) -> None:
         engine = self.engine
         engine.pass_id = "realign"
-        max_size = engine.config.realign_max_size
         for start, end in engine.state.data_regions():
-            if end - start > max_size:
+            if end - start > REALIGN_MAX_SIZE:
                 continue
             if end >= engine.state.size or \
                     not engine.state.is_code_start(end):

@@ -52,10 +52,6 @@ class Evidence:
             raise ValueError("evidence range is inverted")
 
 
-class ConflictError(Exception):
-    """Internal signal: an assertion contradicts stronger evidence."""
-
-
 class ClassificationState:
     """Per-byte labels plus the priority that fixed each byte."""
 
@@ -67,9 +63,6 @@ class ClassificationState:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def classification(self, offset: int) -> Classification:
-        return Classification(self.labels[offset])
 
     def is_unknown(self, offset: int) -> bool:
         return self.labels[offset] == Classification.UNKNOWN
@@ -83,9 +76,6 @@ class ClassificationState:
 
     def is_data(self, offset: int) -> bool:
         return self.labels[offset] == Classification.DATA
-
-    def priority_at(self, offset: int) -> int:
-        return self.priorities[offset]
 
     def instruction_starts(self) -> set[int]:
         return {i for i, label in enumerate(self.labels)
@@ -162,9 +152,3 @@ class ClassificationState:
         for i in range(start, min(end, self.size)):
             self.labels[i] = Classification.DATA
             self.priorities[i] = max(self.priorities[i], priority)
-
-    def erase(self, offsets: set[int]) -> None:
-        """Roll back tentative marks (used when a trace is aborted)."""
-        for i in offsets:
-            self.labels[i] = Classification.UNKNOWN
-            self.priorities[i] = 0

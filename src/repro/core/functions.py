@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.idioms import PROLOGUE_THRESHOLD, prologue_score
+from ..analysis.idioms import (FUNCTION_ALIGNMENT, PROLOGUE_THRESHOLD,
+                               prologue_score)
 from ..isa.opcodes import FlowKind
 from ..superset.superset import Superset
 from .evidence import ClassificationState
@@ -55,8 +56,8 @@ def _falls_into(superset: Superset, state: ClassificationState,
 
 def identify_functions(superset: Superset, state: ClassificationState,
                        entry: int, *,
-                       pointer_table_targets: frozenset[int] = frozenset(),
-                       alignment: int = 16) -> list[FunctionSpan]:
+                       pointer_table_targets: frozenset[int] = frozenset()
+                       ) -> list[FunctionSpan]:
     """Derive function entries and extents from accepted code."""
     starts = state.instruction_starts()
     entries: set[int] = set()
@@ -74,7 +75,7 @@ def identify_functions(superset: Superset, state: ClassificationState,
         if instruction.flow is FlowKind.CALL:
             entries.add(target)
         elif instruction.flow is FlowKind.JUMP \
-                and target % alignment == 0 \
+                and target % FUNCTION_ALIGNMENT == 0 \
                 and prologue_score(superset, target) >= PROLOGUE_THRESHOLD:
             entries.add(target)    # likely tail call
 
@@ -85,7 +86,7 @@ def identify_functions(superset: Superset, state: ClassificationState,
 
     # Aligned prologues that nothing falls through into.
     for offset in starts:
-        if offset % alignment:
+        if offset % FUNCTION_ALIGNMENT:
             continue
         if prologue_score(superset, offset) < PROLOGUE_THRESHOLD:
             continue

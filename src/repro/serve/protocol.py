@@ -30,7 +30,14 @@ from ..stats.cache import stable_digest
 #: fact base re-disassemble incrementally.  Responses carry
 #: ``fingerprint``.  Purely a performance hint: payloads are
 #: byte-identical with or without it.
-PROTOCOL_VERSION = 3
+#: v4: ``config`` overrides name only the 7 ``DisassemblerConfig``
+#: fields (``use_statistics``, ``use_behavior``,
+#: ``use_prioritized_correction``, ``use_table_resolution``,
+#: ``use_lint_feedback``, ``record_provenance``, ``code_threshold``)
+#: and are type-checked at admission: the six switches must be JSON
+#: booleans and ``code_threshold`` a number, coerced to float before
+#: fingerprinting.  Anything else is a 400.
+PROTOCOL_VERSION = 4
 
 #: Job kinds the scheduler understands.
 KINDS = ("disassemble", "lint")
@@ -103,7 +110,8 @@ class JobResult:
 # Config handling
 # ----------------------------------------------------------------------
 
-_CONFIG_FIELDS = {f.name: f.type for f in
+#: Field name -> type of its default (``bool`` or ``float``).
+_CONFIG_FIELDS = {f.name: type(f.default) for f in
                   dataclasses.fields(DisassemblerConfig)}
 
 
@@ -111,19 +119,31 @@ def config_from_overrides(overrides: dict[str, Any] | None
                           ) -> DisassemblerConfig:
     """A :class:`DisassemblerConfig` from a request's override dict.
 
-    Unknown field names are a client error (400), not silently
-    ignored: a typo would otherwise serve results under the wrong
-    cache key forever.
+    Unknown field names and mistyped values are client errors (400),
+    not silently accepted: a typo would otherwise serve results under
+    the wrong cache key forever, and a truthy string such as ``"no"``
+    would switch a component *on*.  Numbers are coerced to float so
+    ``0`` and ``0.0`` resolve to one config.
     """
     if not overrides:
         return DEFAULT_CONFIG
     unknown = sorted(set(overrides) - set(_CONFIG_FIELDS))
     if unknown:
         raise ProtocolError(f"unknown config field(s): {', '.join(unknown)}")
-    try:
-        return DisassemblerConfig(**overrides)
-    except TypeError as error:
-        raise ProtocolError(f"bad config: {error}") from error
+    values = {}
+    for name, value in overrides.items():
+        if _CONFIG_FIELDS[name] is bool:
+            if not isinstance(value, bool):
+                raise ProtocolError(f"config field {name!r} must be a "
+                                    f"boolean, got {type(value).__name__}")
+        elif isinstance(value, bool) or \
+                not isinstance(value, (int, float)):
+            raise ProtocolError(f"config field {name!r} must be a number, "
+                                f"got {type(value).__name__}")
+        else:
+            value = float(value)
+        values[name] = value
+    return DisassemblerConfig(**values)
 
 
 def config_fingerprint(overrides: dict[str, Any] | None) -> str:

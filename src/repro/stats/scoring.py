@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..superset.superset import Superset
+from ..superset.superset import CHAIN_WINDOW, Superset
 from .datamodel import AsciiRun, DataByteModel, find_ascii_runs
 from .ngram import NgramModel, START, token_of
 
@@ -31,10 +31,11 @@ ASCII_PENALTY = 3.0
 def terminated_ascii_runs(text: bytes) -> tuple[AsciiRun, ...]:
     """NUL-terminated printable runs of ``text`` (cached per section).
 
-    Both :meth:`StatisticalScorer.score_offset` and
-    :meth:`StatisticalScorer.score_all` consult these runs; scanning the
-    whole section again for every scored offset would make per-offset
-    scoring O(n^2), so the scan happens once per distinct text.
+    Incremental re-disassembly compares the penalty arrays of the old
+    and the new text to find offsets whose run membership flipped, and
+    :meth:`StatisticalScorer.rescore` then builds the new text's array
+    again; the cache keeps that to one scan per distinct text (the old
+    text was usually scanned by the run that produced the snapshot).
     """
     return tuple(run for run in find_ascii_runs(text) if run.terminated)
 
@@ -45,22 +46,6 @@ class StatisticalScorer:
 
     code_model: NgramModel
     data_model: DataByteModel
-    window: int = 6
-
-    def score_offset(self, superset: Superset, offset: int) -> float:
-        """Per-byte LLR of the candidate chain starting at ``offset``."""
-        chain = superset.fallthrough_chain(offset, self.window)
-        if not chain:
-            return UNDECODABLE_SCORE
-        span = chain[-1].end - offset
-        code_lp = self.code_model.score_instructions(chain)
-        data_lp = self.data_model.log_prob(superset.text[offset:offset + span])
-        score = (code_lp - data_lp) / span
-        for run in terminated_ascii_runs(superset.text):
-            if run.start <= offset < run.end:
-                score -= ASCII_PENALTY
-                break
-        return score
 
     def score_all(self, superset: Superset) -> np.ndarray:
         """Vector of per-offset scores for a whole section.
@@ -108,7 +93,7 @@ class StatisticalScorer:
                      tokens: list | None, data_lp_byte: np.ndarray,
                      ascii_penalty: np.ndarray) -> float:
         """The shared per-offset scoring body (valid offsets only)."""
-        chain = superset.fallthrough_chain(offset, self.window)
+        chain = superset.fallthrough_chain(offset, CHAIN_WINDOW)
         context = (START, START)
         code_lp = 0.0
         for ins in chain:

@@ -37,6 +37,10 @@ _RUN_FAST_WINDOW = 2 * MAX_INSTRUCTION_LENGTH + 2
 #: the per-offset sweep free of any run bookkeeping.
 _RUN_RE = re.compile(rb"(.)\1{%d,}" % _RUN_FAST_WINDOW, re.DOTALL)
 
+#: Instructions in the :meth:`Superset.fallthrough_chain` window that
+#: statistical and behavioral scoring examine per candidate.
+CHAIN_WINDOW = 6
+
 
 def _shifted(ins: Instruction, delta: int) -> Instruction:
     """The same encoding decoded ``delta`` bytes away: every absolute

@@ -84,12 +84,3 @@ class TestPriorityConflicts:
     def test_equal_priority_data_over_unknown_ok(self):
         state = ClassificationState(8)
         assert state.can_mark_data(0, 8, Priority.SOFT)
-
-
-class TestErase:
-    def test_erase_restores_unknown(self):
-        state = ClassificationState(8)
-        state.mark_instruction(0, 4, Priority.ANCHOR)
-        state.erase({0, 1, 2, 3})
-        assert all(state.is_unknown(i) for i in range(4))
-        assert state.priorities[0] == 0

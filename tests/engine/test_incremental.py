@@ -158,7 +158,7 @@ class TestColdFallbacks:
     def test_config_mismatch_falls_back(self, snapshot, small_case):
         from repro.core import DisassemblerConfig
         disassembler, base = snapshot
-        other = Disassembler(config=DisassemblerConfig(chain_window=9))
+        other = Disassembler(config=DisassemblerConfig(code_threshold=1.0))
         result, stats = disassemble_incremental(other, base,
                                                 small_case.binary)
         assert stats.cold

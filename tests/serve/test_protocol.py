@@ -32,6 +32,11 @@ class TestBinaryField:
             decode_binary_field({"binary_b64": "!!!not base64!!!"})
 
 
+BOOL_FIELDS = ["use_statistics", "use_behavior",
+               "use_prioritized_correction", "use_table_resolution",
+               "use_lint_feedback", "record_provenance"]
+
+
 class TestConfigHandling:
     def test_no_overrides_is_default_config(self):
         assert config_from_overrides(None) is DEFAULT_CONFIG
@@ -60,6 +65,39 @@ class TestConfigHandling:
         name = dataclasses.fields(DEFAULT_CONFIG)[0].name
         value = getattr(DEFAULT_CONFIG, name)
         assert config_fingerprint({name: value}) == config_fingerprint(None)
+
+    def test_overridable_fields_are_the_seven_config_fields(self):
+        assert [f.name for f in dataclasses.fields(DEFAULT_CONFIG)] == \
+            BOOL_FIELDS + ["code_threshold"]
+
+    @pytest.mark.parametrize("name", ["chain_window", "gap_rounds",
+                                      "alignment", "stat_weight"])
+    def test_former_knobs_are_unknown_fields(self, name):
+        with pytest.raises(ProtocolError, match=name) as exc:
+            config_from_overrides({name: 5})
+        assert exc.value.status == 400
+
+    @pytest.mark.parametrize("name", BOOL_FIELDS)
+    @pytest.mark.parametrize("bad", ["no", 0, None])
+    def test_switch_must_be_a_boolean(self, name, bad):
+        with pytest.raises(ProtocolError, match="boolean") as exc:
+            config_from_overrides({name: bad})
+        assert exc.value.status == 400
+
+    @pytest.mark.parametrize("bad", ["x", "0.5", True, None])
+    def test_threshold_must_be_a_number(self, bad):
+        with pytest.raises(ProtocolError, match="number") as exc:
+            config_from_overrides({"code_threshold": bad})
+        assert exc.value.status == 400
+
+    def test_threshold_is_coerced_to_float(self):
+        config = config_from_overrides({"code_threshold": 1})
+        assert type(config.code_threshold) is float
+        assert config_fingerprint({"code_threshold": 0}) == \
+            config_fingerprint({"code_threshold": 0.0}) == \
+            config_fingerprint(None)
+        assert config_fingerprint({"code_threshold": 1}) == \
+            config_fingerprint({"code_threshold": 1.0})
 
 
 class TestJobRequest:
@@ -99,6 +137,12 @@ class TestParseJobBody:
         with pytest.raises(ProtocolError, match="typo_field"):
             parse_job_body(self.body(config={"typo_field": 1}),
                            "disassemble")
+
+    def test_config_types_validated_early(self):
+        with pytest.raises(ProtocolError, match="use_behavior") as exc:
+            parse_job_body(self.body(config={"use_behavior": "no"}),
+                           "disassemble")
+        assert exc.value.status == 400
 
     @pytest.mark.parametrize("bad", [0, -5, 1.5, "100"])
     def test_timeout_must_be_positive_int(self, bad):

@@ -1,9 +1,12 @@
 """Tests for the combined statistical scorer."""
 
 import numpy as np
+import pytest
 
-from repro.stats.scoring import StatisticalScorer, UNDECODABLE_SCORE
+from repro.stats.scoring import (ASCII_PENALTY, UNDECODABLE_SCORE,
+                                 StatisticalScorer)
 from repro.superset import Superset
+from repro.superset.superset import CHAIN_WINDOW
 
 
 class TestScoreAll:
@@ -18,12 +21,15 @@ class TestScoreAll:
         scores = scorer.score_all(superset)
         assert scores[0] == UNDECODABLE_SCORE
 
-    def test_score_all_matches_score_offset(self, models, msvc_superset):
+    @pytest.mark.parametrize("case", ["msvc_case", "gcc_case",
+                                      "clang_case"])
+    def test_rescore_everywhere_equals_score_all(self, models, case,
+                                                 request):
+        superset = Superset.build(request.getfixturevalue(case).text)
         scorer = StatisticalScorer(models.code, models.data)
-        scores = scorer.score_all(msvc_superset)
-        for offset in msvc_superset.valid_offsets[:50]:
-            individual = scorer.score_offset(msvc_superset, offset)
-            assert np.isclose(scores[offset], individual), offset
+        rescored = np.full(len(superset), np.nan)
+        scorer.rescore(superset, range(len(superset)), rescored)
+        assert np.array_equal(rescored, scorer.score_all(superset))
 
     def test_separation_on_real_binary(self, models, msvc_case,
                                        msvc_superset):
@@ -37,24 +43,28 @@ class TestScoreAll:
         data_scores = [scores[o] for o in data_offsets]
         assert np.mean(start_scores) > np.mean(data_scores) + 1.0
 
-    def test_window_controls_chain_length(self, models):
-        short = StatisticalScorer(models.code, models.data, window=1)
-        superset = Superset.build(b"\x90" * 8 + b"\xc3")
-        value = short.score_offset(superset, 0)
-        assert np.isfinite(value)
+    def test_score_reads_only_the_chain_window(self, models):
+        # Bytes past CHAIN_WINDOW instructions cannot move the score.
+        scorer = StatisticalScorer(models.code, models.data)
+        ends_clean = Superset.build(b"\x90" * CHAIN_WINDOW + b"\xc3")
+        ends_invalid = Superset.build(b"\x90" * CHAIN_WINDOW + b"\x06")
+        assert scorer.score_all(ends_clean)[0] == \
+            scorer.score_all(ends_invalid)[0]
+
 
 class TestAsciiRunCaching:
     def test_ascii_scan_runs_once_per_section(self, models):
-        """score_offset must not rescan the section for ASCII runs on
-        every call (that made per-offset scoring O(n^2))."""
+        """rescore must not rescan the section for ASCII runs on every
+        call (that made per-offset scoring O(n^2))."""
         from repro.stats.scoring import terminated_ascii_runs
 
         scorer = StatisticalScorer(models.code, models.data)
         text = b"\x90" * 64 + b"a string literal!\x00" + b"\xc3"
         superset = Superset.build(text)
+        scores = np.zeros(len(superset))
         terminated_ascii_runs.cache_clear()
         for offset in range(32):
-            scorer.score_offset(superset, offset)
+            scorer.rescore(superset, [offset], scores)
         info = terminated_ascii_runs.cache_info()
         assert info.misses == 1
         assert info.hits >= 31
@@ -63,6 +73,7 @@ class TestAsciiRunCaching:
         scorer = StatisticalScorer(models.code, models.data)
         text = b"PLAIN ASCII TEXT HERE\x00" + b"\x90" * 8 + b"\xc3"
         superset = Superset.build(text)
-        inside = scorer.score_offset(superset, 2)
-        scores = scorer.score_all(superset)
-        assert np.isclose(scores[2], inside)
+        assert scorer._ascii_penalty(text)[2] == ASCII_PENALTY
+        rescored = np.full(len(superset), np.nan)
+        scorer.rescore(superset, [2], rescored)
+        assert rescored[2] == scorer.score_all(superset)[2]
