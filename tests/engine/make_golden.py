@@ -16,7 +16,15 @@ a fixed, finite input set, as sha256 digests:
     ``msvc-like-s0``: the result JSON;
 ``provenance``
     ``gcc-like-s0`` with ``record_provenance=True``: the rendered
-    decision events, newline-joined, plus the event count.
+    decision events, newline-joined, plus the event count;
+``lint_feedback``
+    ``msvc-like-s2`` with ``use_lint_feedback=True`` (a case whose lint
+    pass yields actionable diagnostics, so the feedback round moves
+    the result): the result JSON and the correction log;
+``facts``
+    ``gcc-like-s0`` under the default config: the exported region
+    facts, one ``start end label priority source rule`` line each,
+    plus the fact count.
 
 ``test_golden.py`` recomputes every digest and compares.  Regenerate
 only when a change is meant to alter correction output, and say in
@@ -42,6 +50,8 @@ from repro.eval.dataset import evaluation_corpus             # noqa: E402
 GOLDEN = HERE / "golden_correction.json"
 ABLATION_CASE = "msvc-like-s0"
 PROVENANCE_CASE = "gcc-like-s0"
+LINT_FEEDBACK_CASE = "msvc-like-s2"
+FACTS_CASE = "gcc-like-s0"
 
 
 def sha256(text: str) -> str:
@@ -80,6 +90,24 @@ def provenance_digests() -> dict:
             "rendered": sha256("\n".join(lines))}
 
 
+def lint_feedback_digests() -> dict:
+    rich = run(LINT_FEEDBACK_CASE, DisassemblerConfig(use_lint_feedback=True))
+    return {"case": LINT_FEEDBACK_CASE,
+            "result": sha256(rich.result.to_json()),
+            "log": sha256("\n".join(rich.log))}
+
+
+def render_fact(fact) -> str:
+    return (f"{fact.start:#x} {fact.end:#x} {fact.label} "
+            f"{fact.priority.name} {fact.source} {fact.rule}")
+
+
+def facts_digests() -> dict:
+    lines = [render_fact(fact) for fact in run(FACTS_CASE).facts]
+    return {"case": FACTS_CASE, "facts": len(lines),
+            "rendered": sha256("\n".join(lines))}
+
+
 def compute() -> dict:
     return {
         "cases": {case.name: case_digests(case.name)
@@ -88,6 +116,8 @@ def compute() -> dict:
         "ablations": {name: ablation_digests(name)
                       for name in sorted(ABLATION_CONFIGS)},
         "provenance": provenance_digests(),
+        "lint_feedback": lint_feedback_digests(),
+        "facts": facts_digests(),
     }
 
 

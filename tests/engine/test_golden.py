@@ -2,8 +2,10 @@
 
 Every digest in ``golden_correction.json`` is recomputed from a fresh
 run and compared: result JSON and correction log for each evaluation
-corpus case, result JSON for each ablation config, and the provenance
-event stream of one recorded run (see ``make_golden.py``).
+corpus case, result JSON for each ablation config, the provenance
+event stream of one recorded run, the result and log of one
+lint-feedback run, and the region facts of one run (see
+``make_golden.py``).
 """
 
 import json
@@ -14,6 +16,7 @@ from repro.core import ABLATION_CONFIGS
 from repro.eval.dataset import evaluation_corpus
 
 from .make_golden import (GOLDEN, ablation_digests, case_digests,
+                          facts_digests, lint_feedback_digests,
                           provenance_digests, run)
 
 EXPECTED = json.loads(GOLDEN.read_text())
@@ -40,6 +43,14 @@ class TestCoverage:
         names = {case.name for case in evaluation_corpus()}
         assert EXPECTED["ablation_case"] in names
         assert EXPECTED["provenance"]["case"] in names
+        assert EXPECTED["lint_feedback"]["case"] in names
+        assert EXPECTED["facts"]["case"] in names
+
+    def test_lint_feedback_case_differs_from_default(self):
+        """The feedback round moves this case, so its digest pins it."""
+        case = EXPECTED["lint_feedback"]["case"]
+        assert EXPECTED["lint_feedback"]["result"] != \
+            EXPECTED["cases"][case]["result"]
 
 
 @pytest.mark.usefixtures("models")
@@ -71,6 +82,17 @@ class TestGoldenDigests:
         expected = EXPECTED["provenance"]
         assert expected["events"] > 100
         _assert_matches(expected["case"], provenance_digests(), expected)
+
+    def test_lint_feedback_stream(self):
+        expected = EXPECTED["lint_feedback"]
+        _assert_matches(f"{expected['case']} [lint feedback]",
+                        lint_feedback_digests(), expected)
+
+    def test_facts_stream(self):
+        expected = EXPECTED["facts"]
+        assert expected["facts"] > 100
+        _assert_matches(f"{expected['case']} [facts]", facts_digests(),
+                        expected)
 
 
 @pytest.mark.usefixtures("models")
