@@ -48,15 +48,6 @@ class DefUseSignals:
     flag_anomalies: int
     flag_pairs: int
 
-    @property
-    def pair_density(self) -> float:
-        return self.defuse_pairs / max(self.instructions, 1)
-
-    @property
-    def anomaly_density(self) -> float:
-        return ((self.register_anomalies + self.flag_anomalies)
-                / max(self.instructions, 1))
-
 
 def _is_zeroing_idiom(instruction: Instruction) -> bool:
     """xor r, r (or sub r, r): defines the register without reading it."""

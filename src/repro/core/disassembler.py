@@ -219,21 +219,21 @@ class Disassembler:
 
         Lints the first-pass result and converts actionable diagnostics
         (regions shaped like data accepted as code, branch targets that
-        must be code) into structural evidence for the correction
-        engine, then rebuilds the result.  The engine's priority rules
-        still apply: lint evidence cannot displace anchored traces.
+        must be code) into structural claims for the correction engine,
+        then rebuilds the result.  The engine's priority rules still
+        apply: lint claims cannot displace anchored traces.
         """
         # Imported lazily: repro.lint imports core types, so a module-
         # level import here would create a cycle through core.__init__.
         from ..lint import diagnostics_to_evidence, lint_disassembly
         report = lint_disassembly(result, superset,
                                   provenance=engine.provenance)
-        evidence = diagnostics_to_evidence(report)
+        claims = diagnostics_to_evidence(report)
         engine.log.append(f"lint-feedback: {len(report.diagnostics)} "
-                          f"diagnostics, {len(evidence)} actionable")
-        if not evidence:
+                          f"diagnostics, {len(claims)} actionable")
+        if not claims:
             return result
-        engine.feedback(evidence)
+        engine.feedback(claims)
         return self._finalize(engine, superset, tables, entry)
 
     def _validated_tables(self, text: bytes, superset: Superset,

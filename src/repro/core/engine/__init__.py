@@ -2,22 +2,24 @@
 
 :class:`FactEngine` is the stratified fact/rule engine with a
 semi-naive fixpoint driver (:mod:`repro.core.engine.driver`) over the
-rules of :mod:`repro.core.engine.rules`.  Its outputs on the
-evaluation corpus, every ablation config and one provenance-recording
-run are pinned by golden digests (``tests/engine/test_golden.py``).
-:mod:`repro.core.engine.incremental` re-enters the same fixpoint after
-retracting only the facts a byte patch invalidates.
+rules of :mod:`repro.core.engine.rules`; its one claim vocabulary
+(:class:`CodeClaim`, :class:`DataClaim`) serves ingestion, the rules
+and lint feedback alike.  Its outputs are pinned by golden digests
+(``tests/engine/test_golden.py``).  :mod:`repro.core.engine.incremental`
+recomputes only the per-offset inputs (decoded candidates, scores,
+prologue verdicts) a byte patch can change, then re-runs the full
+fixpoint on them.
 """
 
 from __future__ import annotations
 
 from .driver import FactEngine
-from .facts import (CodeClaim, DataClaim, EntryFact, FactExport, FactStore,
-                    PendingCall, PrologueFact, RegionFact, TableFact)
+from .facts import (CodeClaim, DataClaim, FactExport, FactStore,
+                    PendingCall, RegionFact)
 from .incremental import FactBase, diff_spans, disassemble_incremental
 
 __all__ = [
-    "CodeClaim", "DataClaim", "EntryFact", "FactBase", "FactEngine",
-    "FactExport", "FactStore", "PendingCall", "PrologueFact",
-    "RegionFact", "TableFact", "diff_spans", "disassemble_incremental",
+    "CodeClaim", "DataClaim", "FactBase", "FactEngine", "FactExport",
+    "FactStore", "PendingCall", "RegionFact", "diff_spans",
+    "disassemble_incremental",
 ]

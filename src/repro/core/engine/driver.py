@@ -12,7 +12,7 @@ fixpoint over typed facts:
   per-relation version counters instead of being recomputed every
   quiescence check.
 * Every rule firing records its own provenance and region facts, so
-  the PR-5 audit trail and the lint cross-check are products of the
+  the audit trail and the lint cross-check are products of the
   inference itself rather than hand-placed hooks.
 """
 
@@ -27,13 +27,11 @@ from ...binary.image import MemoryImage
 from ...obs.provenance import ProvenanceLog
 from ...superset.superset import Superset
 from ..config import DisassemblerConfig
-from ..evidence import ClassificationState, Evidence, Priority
+from ..evidence import ClassificationState, Priority
 from ..tables import ResolvedTable, resolve_indirect_jump
-from .facts import (CodeClaim, DataClaim, EntryFact, FactExport, FactStore,
-                    PrologueFact, TableFact)
+from .facts import CodeClaim, DataClaim, FactExport, FactStore
 from .rules import (CallContinuationRule, DataRule, DispatchRetryRule,
-                    EntryAnchorRule, GapRule, GapSealRule, PrologueRule,
-                    RealignRule, TableRule, TraceRule)
+                    GapRule, GapSealRule, RealignRule, TableRule, TraceRule)
 
 
 class FactEngine:
@@ -55,19 +53,15 @@ class FactEngine:
         self.resolved_tables: list[ResolvedTable] = []
         self.log: list[str] = []
         self.provenance = provenance
-        #: Rule stratum currently executing, for provenance tagging.
+        #: Pass currently executing, for provenance tagging.
         self.pass_id = "correction"
         self.noreturn_entries: set[int] = set()
         self.noreturn_fall_sites: set[int] = set()
         self._sequence = itertools.count()
         self._agenda: list[tuple] = []
-        self._returning_cache_key = None
-        self._returning_cache: dict[int, bool] = {}
         self._speculative_cache: dict[int, tuple[int, ...] | None] = {}
-        # The rule library, by stratum.
+        # The rule library, in strata order.
         self.table_rule = TableRule(self)
-        self.entry_rule = EntryAnchorRule(self)
-        self.prologue_rule = PrologueRule(self)
         self.trace_rule = TraceRule(self)
         self.data_rule = DataRule(self)
         self.dispatch_rule = DispatchRetryRule(self)
@@ -75,10 +69,6 @@ class FactEngine:
         self.gap_rule = GapRule(self)
         self.seal_rule = GapSealRule(self)
         self.realign_rule = RealignRule(self)
-        self.rules = [self.table_rule, self.entry_rule, self.prologue_rule,
-                      self.trace_rule, self.data_rule, self.dispatch_rule,
-                      self.calls_rule, self.gap_rule, self.seal_rule,
-                      self.realign_rule]
 
     # ------------------------------------------------------------------
     # Agenda
@@ -89,18 +79,6 @@ class FactEngine:
         weight = claim.weight
         heapq.heappush(self._agenda, (-int(claim.priority), -weight,
                                       next(self._sequence), claim))
-
-    def push(self, evidence: Evidence) -> None:
-        """Queue :class:`Evidence` from an external producer (lint
-        feedback) as the equivalent claim."""
-        if evidence.kind == "data":
-            self.push_claim(DataClaim(evidence.offset, evidence.end,
-                                      evidence.priority, evidence.weight,
-                                      evidence.source, "external"))
-        else:
-            self.push_claim(CodeClaim(evidence.offset, evidence.priority,
-                                      evidence.weight, evidence.source,
-                                      "external"))
 
     def _pop(self) -> CodeClaim | DataClaim | None:
         if not self._agenda:
@@ -123,7 +101,7 @@ class FactEngine:
     # ------------------------------------------------------------------
 
     def drain(self) -> None:
-        """Run stratum 1 to fixpoint.
+        """Run propagation to fixpoint.
 
         Claims first; when the agenda is empty, the set-valued rules
         get one firing opportunity each, in priority order (dispatch
@@ -150,22 +128,20 @@ class FactEngine:
     # ------------------------------------------------------------------
 
     def ingest(self, tables, entry: int | None, prologues) -> None:
-        """Stratum 0: record base facts and fire the ingestion rules."""
+        """Ingestion: fire the table rule on each detected table, then
+        claim the entry point (ANCHOR) and every prologue (IDIOM)."""
         self.pass_id = "tables"
         for table in tables:
-            fact = TableFact(table.start, table.end, table.entry_size,
-                             tuple(table.targets))
-            self.store.add_table(fact)
-            self.table_rule.fire(fact)
+            self.table_rule.fire(table)
         if entry is not None:
-            self.store.add_entry(EntryFact(entry))
-            self.entry_rule.fire(entry)
+            self.push_claim(CodeClaim(entry, Priority.ANCHOR, 2.0,
+                                      "entry-point"))
         for offset in prologues:
-            self.store.add_prologue(PrologueFact(offset))
-            self.prologue_rule.fire(offset)
+            self.push_claim(CodeClaim(offset, Priority.IDIOM, 1.0,
+                                      "prologue"))
 
     def solve(self) -> None:
-        """Stratum 1 to fixpoint."""
+        """Propagation to fixpoint."""
         self.pass_id = "correction"
         self.drain()
 
@@ -183,11 +159,11 @@ class FactEngine:
         self.seal_rule.fire()
         self.realign_rule.fire()
 
-    def feedback(self, evidence: list[Evidence]) -> None:
-        """One lint-feedback round: queue diagnostics, re-solve."""
+    def feedback(self, claims: list[CodeClaim | DataClaim]) -> None:
+        """One lint-feedback round: queue the claims, re-solve."""
         self.pass_id = "lint-feedback"
-        for item in evidence:
-            self.push(item)
+        for claim in claims:
+            self.push_claim(claim)
         self.drain()
         self.finish()
 

@@ -1,28 +1,28 @@
 """Typed facts and the fact store of the declarative correction engine.
 
 The fact/rule engine models the correction algorithm as inference over
-a store of **facts** instead of hand-sequenced control flow.  Facts
-come in two shapes:
+a store of **facts** instead of hand-sequenced control flow:
 
-* **Discrete facts** -- frozen dataclasses (one instance per detected
-  table, entry point, prologue idiom, claim, pending call).  Each
-  carries a *support interval*: the byte range of the text section its
-  truth depends on.  Incremental re-disassembly retracts exactly the
-  facts whose support touches changed bytes.
-* **Columnar relations** -- per-offset numpy arrays (soft statistical
-  scores, behavioral scores, the padding-byte mask).  A columnar
-  relation is logically one fact per offset; storing it as an array
-  keeps the per-offset "facts" as cheap as the legacy engine's score
-  vectors, and its support is per-offset by construction.
+* **Claims** -- frozen :class:`CodeClaim` / :class:`DataClaim`
+  assertions queued on the driver's agenda.  Ingestion pushes them for
+  detected tables, the entry point and prologue idioms; rules derive
+  more while tracing; lint feedback supplies its own.
+* **Relations the rules read** -- pending call continuations,
+  unresolved dispatch sites and the columnar padding mask (one bool
+  per text byte), each mutation bumping a version counter so
+  set-valued rules fire semi-naively.
+* **Region facts** -- the output: one :class:`RegionFact` per
+  mark-code / mark-data projection, naming the rule that wrote it, so
+  the lint cross-check and the rewriter read why each byte holds its
+  label.
 
-Derived facts (claims, region classifications) record the rule that
-produced them, so the provenance trail and the lint cross-check fall
-out of the store instead of hand-placed hooks.
+The per-offset score vectors are inputs of the engine itself, not
+store relations.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,75 +34,37 @@ PADDING_BYTES = frozenset({0xCC, 0x90, 0x00})
 
 
 # ----------------------------------------------------------------------
-# Extensional (base) facts
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TableFact:
-    """A statistically detected jump/pointer table."""
-
-    start: int
-    end: int
-    entry_size: int
-    targets: tuple[int, ...]
-
-    @property
-    def support(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
-
-@dataclass(frozen=True)
-class EntryFact:
-    """The program entry point (the strongest anchor)."""
-
-    offset: int
-
-    @property
-    def support(self) -> tuple[int, int]:
-        return (self.offset, self.offset + 1)
-
-
-@dataclass(frozen=True)
-class PrologueFact:
-    """A prologue idiom recognized at an aligned offset."""
-
-    offset: int
-
-    @property
-    def support(self) -> tuple[int, int]:
-        return (self.offset, self.offset + 1)
-
-
-# ----------------------------------------------------------------------
-# Derived facts
+# Claims and derived facts
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CodeClaim:
-    """A derived claim that ``offset`` starts an instruction.
+    """A claim that ``offset`` starts an instruction.
 
-    Claims are what the legacy engine called code ``Evidence``: they
-    queue on the agenda and are consumed strongest-first by the trace
-    rule.  ``rule`` names the deriving rule for provenance.
+    Claims queue on the agenda and are consumed strongest-first by the
+    trace rule.  ``weight`` orders claims within one priority class;
+    ``source`` names the producing analysis for explainability.
     """
 
     offset: int
     priority: Priority
     weight: float
     source: str
-    rule: str = ""
 
 
 @dataclass(frozen=True)
 class DataClaim:
-    """A derived claim that ``[start, end)`` is data."""
+    """A claim that ``[start, end)`` is data."""
 
     start: int
     end: int
     priority: Priority
     weight: float
     source: str
-    rule: str = ""
+
+    def __post_init__(self) -> None:
+        if self.end < self.start:
+            raise ValueError("data claim range is inverted")
 
 
 @dataclass(frozen=True)
@@ -119,8 +81,6 @@ class TraceResult:
 
     accepted: set[int] = field(default_factory=set)
     call_targets: set[int] = field(default_factory=set)
-    jump_targets_outside: set[int] = field(default_factory=set)
-    rip_references: set[int] = field(default_factory=set)
     resolved_tables: list = field(default_factory=list)
     #: Deferred call continuations: (fall-through offset, callee entry).
     pending_calls: list[tuple[int, int]] = field(default_factory=list)
@@ -157,7 +117,7 @@ class RegionFact:
 # ----------------------------------------------------------------------
 
 class FactStore:
-    """Typed fact relations plus delta counters for semi-naive firing.
+    """Fact relations plus delta counters for semi-naive firing.
 
     Every mutating operation bumps a per-relation *version*; rules
     remember the versions they last fired against and re-fire only when
@@ -166,10 +126,6 @@ class FactStore:
     """
 
     def __init__(self, text: bytes) -> None:
-        self.text = text
-        self.tables: list[TableFact] = []
-        self.entries: list[EntryFact] = []
-        self.prologues: list[PrologueFact] = []
         self.pending_calls: list[PendingCall] = []
         self.unresolved_dispatches: set[int] = set()
         self.region_facts: list[RegionFact] = []
@@ -181,7 +137,6 @@ class FactStore:
                                         dtype=np.uint8))
         #: Per-relation version counters (semi-naive deltas).
         self.versions: dict[str, int] = {
-            "tables": 0, "entries": 0, "prologues": 0,
             "pending_calls": 0, "dispatches": 0, "resolved": 0,
             "state": 0,
         }
@@ -189,19 +144,7 @@ class FactStore:
     # -- mutation ------------------------------------------------------
 
     def bump(self, relation: str) -> None:
-        self.versions[relation] = self.versions.get(relation, 0) + 1
-
-    def add_table(self, fact: TableFact) -> None:
-        self.tables.append(fact)
-        self.bump("tables")
-
-    def add_entry(self, fact: EntryFact) -> None:
-        self.entries.append(fact)
-        self.bump("entries")
-
-    def add_prologue(self, fact: PrologueFact) -> None:
-        self.prologues.append(fact)
-        self.bump("prologues")
+        self.versions[relation] += 1
 
     def add_pending_call(self, fact: PendingCall) -> None:
         self.pending_calls.append(fact)
@@ -240,21 +183,18 @@ class FactExport:
     def __iter__(self):
         return iter(self.regions)
 
-    def covering(self, start: int, end: int) -> list[RegionFact]:
-        """Region facts overlapping [start, end), latest-written last.
-
-        Later facts overwrite earlier ones byte-wise, so the last
-        overlapping fact is the one that finally classified the range.
-        """
-        index = bisect_right(self._starts, start)
-        # Walk left past regions that start before ``start`` but reach
-        # into the queried range, then scan right through the overlap.
-        lo = max(0, index - 64)
-        hits = [region for region in self.regions[lo:]
-                if region.start < end and start < region.end]
-        return hits
-
     def classifier_of(self, start: int, end: int) -> RegionFact | None:
-        """The final (strongest-surviving) fact covering the range."""
-        hits = self.covering(start, end)
-        return hits[-1] if hits else None
+        """The region overlapping [start, end) with the greatest
+        ``(start, end)``; None when no region overlaps.
+
+        Regions are sorted by ``(start, end)``, ties in write order with
+        the later-written one winning, so this is the rightmost region
+        that starts before ``end`` and ends after ``start``.
+        """
+        index = bisect_left(self._starts, end)
+        while index > 0:
+            index -= 1
+            region = self.regions[index]
+            if region.end > start:
+                return region
+        return None

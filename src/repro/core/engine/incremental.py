@@ -1,25 +1,25 @@
-"""Incremental re-disassembly: retract only what changed bytes support.
+"""Incremental re-disassembly: recompute only inputs changed bytes reach.
 
 A :class:`FactBase` snapshots the byte-supported inputs of one
 disassembly -- the text, the superset candidates, and the raw
 statistical/behavioral score components.  Given a near-identical
 resubmission (patch workflows, rewrite round-trips, serve ``base``
-requests), :func:`disassemble_incremental` diffs the bytes, retracts
-exactly the per-offset facts whose support window touches a changed
-span, recomputes those through the same per-offset code paths a cold
-run uses, and re-enters the correction fixpoint.
+requests), :func:`disassemble_incremental` diffs the bytes,
+recomputes exactly the per-offset inputs whose support window touches
+a changed span, through the same per-offset code paths a cold run
+uses, and re-runs correction in full on them.
 
 The support windows are conservative byte bounds:
 
 * a superset candidate at ``o`` reads at most ``_RUN_FAST_WINDOW``
-  bytes ahead of ``o`` (the PR-6 decode-window bound);
+  bytes ahead of ``o`` (the decode-window bound);
 * a statistical or behavioral score at ``o`` examines a fall-through
   chain of at most ``CHAIN_WINDOW`` instructions plus one decode
   window -- ``CHAIN_WINDOW * MAX_INSTRUCTION_LENGTH +
   _RUN_FAST_WINDOW`` bytes;
 * ASCII-run membership can shift far from a patch (a new NUL
   terminates a long printable run), so penalty arrays of old and new
-  text are compared directly and differing offsets are retracted too.
+  text are compared directly and differing offsets are rescored too.
 
 Everything retained is bit-identical to what a cold run would compute
 (same objects, or values produced by the same float expressions over

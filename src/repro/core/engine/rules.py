@@ -1,28 +1,26 @@
 """The correction rules of the declarative fact/rule engine.
 
-Each correction pass is a :class:`Rule` with a declared **stratum**
-(when it may fire) and an explicit set of input relations (what makes
-it fire again).  The semi-naive driver in
-:mod:`repro.core.engine.driver` consults per-relation version counters
-so a rule never re-derives from an unchanged input set.
+Each correction pass is a :class:`Rule`.  The driver in
+:mod:`repro.core.engine.driver` runs them in four strata, each run to
+fixpoint before the next starts; set-valued rules consult the store's
+per-relation version counters so they never re-derive from an
+unchanged input set.
 
-Strata (lower runs to fixpoint before higher starts):
-
-==========  =====================================================
-stratum 0   ingestion -- tables / entry / prologue facts seed the
-            agenda (``TableRule``, ``EntryAnchorRule``,
-            ``PrologueRule``)
-stratum 1   propagation -- claims are traced, dispatch tables
-            retried, call continuations released (``TraceRule``,
-            ``DataRule``, ``DispatchRetryRule``,
-            ``CallContinuationRule``)
-stratum 2   gap completion (``GapRule``, ``GapSealRule``)
-stratum 3   residue realignment (``RealignRule``)
-==========  =====================================================
+==  ==========================================================
+0   ingestion -- detected tables become data plus target claims
+    (``TableRule``); ``FactEngine.ingest`` pushes the entry-point
+    and prologue claims itself
+1   propagation -- claims are traced, dispatch tables retried,
+    call continuations released (``TraceRule``, ``DataRule``,
+    ``DispatchRetryRule``, ``CallContinuationRule``)
+2   gap completion (``GapRule``, ``GapSealRule``)
+3   residue realignment (``RealignRule``)
+==  ==========================================================
 
 Golden digests (``tests/engine/test_golden.py``) pin what the rules
 produce: results and correction logs on the evaluation corpus, results
-under every ablation config, and one provenance event stream.
+under every ablation config, one provenance event stream, one
+lint-feedback run and one run's region facts.
 """
 
 from __future__ import annotations
@@ -31,11 +29,12 @@ from ...analysis.idioms import FUNCTION_ALIGNMENT, prologue_score
 from ...analysis.noreturn import compute_returning
 from ...isa.opcodes import FlowKind
 from ...obs.metrics import REGISTRY
+from ...stats.datamodel import TableCandidate
 from ..evidence import Classification, Priority
 from ..tables import (ResolvedTable, resolve_indirect_call,
                       resolve_indirect_jump)
 from .facts import (CodeClaim, DataClaim, PendingCall, RegionFact,
-                    TableFact, TraceResult)
+                    TraceResult)
 
 #: A trace hitting a contradiction within this many BFS steps of its
 #: seed is refuted and rolled back (beyond it, only SOFT seeds stay
@@ -76,18 +75,17 @@ class Rule:
     """Base class: a named inference rule bound to one engine."""
 
     name = "rule"
-    stratum = 0
 
     def __init__(self, engine) -> None:
         self.engine = engine
 
 
 # ----------------------------------------------------------------------
-# Stratum 0: ingestion
+# Ingestion
 # ----------------------------------------------------------------------
 
 class TableRule(Rule):
-    """TableFact(t) => data over t's bytes, CodeClaim for each target.
+    """Detected table t => data over t's bytes, CodeClaim per target.
 
     Statistical detection is strong but not proof (a literal pool can
     mimic a table), so targets carry STRUCTURAL priority: traced code
@@ -95,58 +93,34 @@ class TableRule(Rule):
     """
 
     name = "table"
-    stratum = 0
 
-    def fire(self, fact: TableFact) -> None:
+    def fire(self, table: TableCandidate) -> None:
         engine = self.engine
-        engine.state.mark_data(fact.start, fact.end, Priority.STRUCTURAL)
+        engine.state.mark_data(table.start, table.end, Priority.STRUCTURAL)
         engine.store.bump("state")
         engine.store.add_region(RegionFact(
-            fact.start, fact.end, "data", Priority.STRUCTURAL,
+            table.start, table.end, "data", Priority.STRUCTURAL,
             "jump-table", self.name))
-        engine.log.append(f"table {fact.start:#x}-{fact.end:#x} "
-                          f"({fact.entry_size}-byte entries)")
-        engine.note("mark-data", fact.start, fact.end,
+        engine.log.append(f"table {table.start:#x}-{table.end:#x} "
+                          f"({table.entry_size}-byte entries)")
+        engine.note("mark-data", table.start, table.end,
                     source="jump-table", priority=Priority.STRUCTURAL,
-                    detail=f"detected {fact.entry_size}-byte-"
+                    detail=f"detected {table.entry_size}-byte-"
                            f"entry table with "
-                           f"{len(fact.targets)} targets")
-        for target in sorted(set(fact.targets)):
+                           f"{len(table.targets)} targets")
+        for target in sorted(set(table.targets)):
             engine.push_claim(CodeClaim(target, Priority.STRUCTURAL,
-                                        1.0, "table-target", self.name))
-
-
-class EntryAnchorRule(Rule):
-    """EntryFact(o) => CodeClaim(o) at ANCHOR priority."""
-
-    name = "entry-anchor"
-    stratum = 0
-
-    def fire(self, offset: int) -> None:
-        self.engine.push_claim(CodeClaim(offset, Priority.ANCHOR, 2.0,
-                                         "entry-point", self.name))
-
-
-class PrologueRule(Rule):
-    """PrologueFact(o) => CodeClaim(o) at IDIOM priority."""
-
-    name = "prologue"
-    stratum = 0
-
-    def fire(self, offset: int) -> None:
-        self.engine.push_claim(CodeClaim(offset, Priority.IDIOM, 1.0,
-                                         "prologue", self.name))
+                                        1.0, "table-target"))
 
 
 # ----------------------------------------------------------------------
-# Stratum 1: propagation
+# Propagation
 # ----------------------------------------------------------------------
 
 class DataRule(Rule):
     """DataClaim(r) + no stronger code over r => data over r."""
 
     name = "data-claim"
-    stratum = 1
 
     def fire(self, claim: DataClaim) -> None:
         engine = self.engine
@@ -183,7 +157,6 @@ class TraceRule(Rule):
     """
 
     name = "trace"
-    stratum = 1
 
     def fire(self, claim: CodeClaim) -> None:
         engine = self.engine
@@ -241,7 +214,7 @@ class TraceRule(Rule):
             if not engine.state.is_code_start(target):
                 engine.push_claim(CodeClaim(
                     target, Priority.ANCHOR, 1.0,
-                    f"call-target@{claim.offset:#x}", self.name))
+                    f"call-target@{claim.offset:#x}"))
         # Resolved dispatch tables: their bytes are data (when in
         # text), their targets are code.
         for table in result.resolved_tables:
@@ -277,8 +250,7 @@ class TraceRule(Rule):
             instruction = engine.superset.at(offset)
             if instruction is None or \
                     not state.can_mark_instruction(offset,
-                                                   instruction.length
-                                                   if instruction else 1,
+                                                   instruction.length,
                                                    priority):
                 if contradiction(depth):
                     for o, (label, prio) in undo.items():
@@ -307,10 +279,6 @@ class TraceRule(Rule):
             state.mark_instruction(offset, instruction.length, priority)
             result.accepted.add(offset)
 
-            if instruction.rip_target is not None \
-                    and 0 <= instruction.rip_target < state.size:
-                result.rip_references.add(instruction.rip_target)
-
             if instruction.flow is FlowKind.CALL:
                 target = instruction.branch_target
                 if target is not None and 0 <= target < state.size:
@@ -322,11 +290,8 @@ class TraceRule(Rule):
                     continue
             elif instruction.flow in (FlowKind.JUMP, FlowKind.CJUMP):
                 target = instruction.branch_target
-                if target is not None:
-                    if 0 <= target < state.size:
-                        worklist.append((target, depth + 1))
-                    else:
-                        result.jump_targets_outside.add(target)
+                if target is not None and 0 <= target < state.size:
+                    worklist.append((target, depth + 1))
             elif instruction.flow is FlowKind.IJUMP \
                     and engine.config.use_table_resolution:
                 table = resolve_indirect_jump(engine.superset,
@@ -403,8 +368,7 @@ def apply_resolved_table(engine, table: ResolvedTable) -> None:
     for target in sorted(set(table.targets)):
         if not engine.state.is_code_start(target):
             engine.push_claim(CodeClaim(target, Priority.ANCHOR, 1.0,
-                                        f"{table.kind}-table-target",
-                                        "dispatch-resolve"))
+                                        f"{table.kind}-table-target"))
 
 
 class DispatchRetryRule(Rule):
@@ -418,7 +382,6 @@ class DispatchRetryRule(Rule):
     """
 
     name = "dispatch-retry"
-    stratum = 1
 
     def __init__(self, engine) -> None:
         super().__init__(engine)
@@ -473,11 +436,12 @@ class CallContinuationRule(Rule):
     """
 
     name = "call-continuation"
-    stratum = 1
 
     def __init__(self, engine) -> None:
         super().__init__(engine)
         self._barren_at: tuple[int, int, int] | None = None
+        self._returning_key: tuple | None = None
+        self._returning: dict[int, bool] = {}
 
     def fire(self) -> bool:
         engine = self.engine
@@ -495,14 +459,12 @@ class CallContinuationRule(Rule):
         # The verdict only changes when the target set or the resolved
         # dispatch map changes; resolution rounds are frequent, so cache.
         cache_key = (frozenset(targets), len(resolved_jumps))
-        if engine._returning_cache_key == cache_key:
-            returning = engine._returning_cache
-        else:
-            returning = compute_returning(
+        if self._returning_key != cache_key:
+            self._returning = compute_returning(
                 engine.superset, targets, resolved_jumps=resolved_jumps,
                 resolve_dispatch=engine.speculative_dispatch_targets)
-            engine._returning_cache_key = cache_key
-            engine._returning_cache = returning
+            self._returning_key = cache_key
+        returning = self._returning
         engine.noreturn_entries = {t for t, ok in returning.items()
                                    if not ok}
         still_pending = []
@@ -519,7 +481,7 @@ class CallContinuationRule(Rule):
             if not engine.state.is_code_start(fact.fall):
                 engine.push_claim(CodeClaim(
                     fact.fall, Priority.ANCHOR, 1.0,
-                    f"call-fallthrough@{fact.target:#x}", self.name))
+                    f"call-fallthrough@{fact.target:#x}"))
                 pushed = True
         if len(still_pending) != len(store.pending_calls):
             store.bump("pending_calls")
@@ -533,7 +495,7 @@ class CallContinuationRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# Stratum 2: gap completion
+# Gap completion
 # ----------------------------------------------------------------------
 
 class GapRule(Rule):
@@ -546,7 +508,6 @@ class GapRule(Rule):
     """
 
     name = "gap"
-    stratum = 2
 
     def run_rounds(self) -> None:
         engine = self.engine
@@ -572,8 +533,7 @@ class GapRule(Rule):
                     settled_gaps.add(gap_id)
                     continue   # an earlier trace already settled it
                 engine.push_claim(CodeClaim(offset, Priority.SOFT,
-                                            score, "gap-score",
-                                            self.name))
+                                            score, "gap-score"))
                 engine.drain()
                 if engine.state.is_code_start(offset):
                     progressed = True
@@ -594,8 +554,7 @@ class GapRule(Rule):
                 if not engine.state.is_unknown(offset):
                     break
                 engine.push_claim(CodeClaim(offset, Priority.SOFT,
-                                            score, "gap-score",
-                                            self.name))
+                                            score, "gap-score"))
                 engine.drain()
                 if engine.state.is_code_start(offset):
                     break
@@ -734,7 +693,6 @@ class GapSealRule(Rule):
     """Unknown gap + no surviving candidate => SOFT data."""
 
     name = "gap-seal"
-    stratum = 2
 
     def fire(self) -> None:
         engine = self.engine
@@ -751,7 +709,7 @@ class GapSealRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# Stratum 3: residue realignment
+# Residue realignment
 # ----------------------------------------------------------------------
 
 class RealignRule(Rule):
@@ -765,7 +723,6 @@ class RealignRule(Rule):
     """
 
     name = "realign"
-    stratum = 3
 
     def fire(self) -> None:
         engine = self.engine

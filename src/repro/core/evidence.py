@@ -1,15 +1,16 @@
-"""Classification state and evidence types for prioritized correction.
+"""Classification state and evidence priorities for prioritized correction.
 
 The correction engine maintains a per-byte classification with the
 priority of the evidence that produced it.  Stronger evidence may
 overwrite weaker decisions (that is the "error correction"); equal or
 weaker evidence that contradicts an existing decision is rejected.
+The evidence itself travels as the engine's claims
+(:mod:`repro.core.engine.facts`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class Classification(enum.IntEnum):
@@ -20,36 +21,12 @@ class Classification(enum.IntEnum):
 
 
 class Priority(enum.IntEnum):
-    """Evidence strength classes, strongest last."""
+    """Strength classes of correction evidence, strongest last."""
 
     SOFT = 1         # statistical / behavioral scores
     IDIOM = 2        # prologue patterns at aligned offsets
     STRUCTURAL = 3   # detected tables, long padding runs
     ANCHOR = 4       # the entry point and propagation from anchors
-
-
-@dataclass(frozen=True)
-class Evidence:
-    """One piece of evidence about a byte range.
-
-    ``kind`` is ``"code"`` (offset is an instruction start) or ``"data"``
-    (the [offset, end) range is data).  ``weight`` orders evidence within
-    one priority class; ``source`` names the producing analysis for
-    explainability.
-    """
-
-    kind: str
-    offset: int
-    end: int
-    priority: Priority
-    weight: float
-    source: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("code", "data"):
-            raise ValueError(f"bad evidence kind: {self.kind}")
-        if self.end < self.offset:
-            raise ValueError("evidence range is inverted")
 
 
 class ClassificationState:

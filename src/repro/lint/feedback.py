@@ -1,17 +1,20 @@
-"""Diagnostics as correction evidence (the lint feedback hook).
+"""Diagnostics as correction claims (the lint feedback hook).
 
-Error diagnostics that carry an unambiguous reclassification suggestion
-translate directly into :class:`~repro.core.evidence.Evidence` items the
-correction engine already knows how to arbitrate.  The disassembler
-runs this hook behind ``DisassemblerConfig.use_lint_feedback`` (off by
-default): lint its own first-pass output, feed the suggestions back,
-and re-drain -- turning the verifier into one more evidence source of
-the paper's prioritized-correction loop.
+Diagnostics that carry an unambiguous reclassification suggestion
+translate directly into the correction engine's own claims
+(:class:`~repro.core.engine.facts.CodeClaim` and
+:class:`~repro.core.engine.facts.DataClaim`), which it already knows
+how to arbitrate.  The disassembler runs this hook behind
+``DisassemblerConfig.use_lint_feedback`` (off by default): lint its own
+first-pass output, feed the claims back, and re-drain -- turning the
+verifier into one more evidence source of the paper's
+prioritized-correction loop.
 """
 
 from __future__ import annotations
 
-from ..core.evidence import Evidence, Priority
+from ..core.engine.facts import CodeClaim, DataClaim
+from ..core.evidence import Priority
 from .diagnostics import Diagnostic, LintReport, Severity
 
 #: Rules whose "data" suggestions are trusted as structural evidence.
@@ -29,30 +32,30 @@ _CODE_TARGET_RULES = frozenset({
 
 def diagnostics_to_evidence(report: LintReport,
                             *, min_severity: Severity = Severity.WARNING
-                            ) -> list[Evidence]:
-    """Evidence items derived from actionable diagnostics.
+                            ) -> list[CodeClaim | DataClaim]:
+    """Claims derived from actionable diagnostics.
 
     Only diagnostics with a suggestion from the conservative rule sets
     above are converted; ambiguous violations (a dangling fall-through
-    does not say which side is wrong) produce no evidence.  Evidence is
+    does not say which side is wrong) produce no claim.  Claims are
     STRUCTURAL so that genuinely traced code (ANCHOR) still wins.
     """
-    evidence: list[Evidence] = []
+    claims: list[CodeClaim | DataClaim] = []
     for diagnostic in report.sorted():
         if diagnostic.severity < min_severity:
             continue
-        evidence.extend(_convert(diagnostic))
-    return evidence
+        claims.extend(_convert(diagnostic))
+    return claims
 
 
-def _convert(diagnostic: Diagnostic) -> list[Evidence]:
+def _convert(diagnostic: Diagnostic) -> list[CodeClaim | DataClaim]:
     source = f"lint:{diagnostic.rule}"
     if diagnostic.rule in _DATA_SHAPE_RULES \
             and diagnostic.suggestion == "data":
-        return [Evidence("data", diagnostic.start, diagnostic.end,
-                         Priority.STRUCTURAL, 1.0, source)]
+        return [DataClaim(diagnostic.start, diagnostic.end,
+                          Priority.STRUCTURAL, 1.0, source)]
     if diagnostic.rule in _CODE_TARGET_RULES \
             and diagnostic.suggestion == "code":
-        return [Evidence("code", diagnostic.start, diagnostic.start,
-                         Priority.STRUCTURAL, 1.0, source)]
+        return [CodeClaim(diagnostic.start, Priority.STRUCTURAL, 1.0,
+                          source)]
     return []

@@ -1,7 +1,5 @@
-"""Superset disassembly and candidate conflict structure."""
+"""Superset disassembly: every decodable offset as a candidate."""
 
-from .conflicts import conflicting_offsets, covering_candidates, no_overlap
-from .superset import Superset
+from .superset import Superset, no_overlap
 
-__all__ = ["Superset", "conflicting_offsets", "covering_candidates",
-           "no_overlap"]
+__all__ = ["Superset", "no_overlap"]

@@ -176,33 +176,11 @@ class Superset:
         return preds
 
     @cached_property
-    def fallthrough_predecessors(self) -> dict[int, list[int]]:
-        """offset -> candidates whose fall-through lands on it."""
-        preds: dict[int, list[int]] = {}
-        for offset, ins in enumerate(self.instructions):
-            if ins is None or not ins.falls_through:
-                continue
-            preds.setdefault(ins.end, []).append(offset)
-        return preds
-
-    @cached_property
     def direct_call_targets(self) -> dict[int, int]:
         """target offset -> number of candidate call sites reaching it."""
         counts: dict[int, int] = {}
         for ins in self.instructions:
             if ins is None or ins.flow is not FlowKind.CALL:
-                continue
-            target = ins.branch_target
-            if target is not None and 0 <= target < len(self.text):
-                counts[target] = counts.get(target, 0) + 1
-        return counts
-
-    @cached_property
-    def direct_jump_targets(self) -> dict[int, int]:
-        """target offset -> number of candidate jump sites reaching it."""
-        counts: dict[int, int] = {}
-        for ins in self.instructions:
-            if ins is None or ins.flow not in (FlowKind.JUMP, FlowKind.CJUMP):
                 continue
             target = ins.branch_target
             if target is not None and 0 <= target < len(self.text):
@@ -244,12 +222,18 @@ class Superset:
             current = nxt[current]
         return chain
 
-    def occluded_by(self, offset: int) -> list[int]:
-        """Offsets strictly inside the candidate at ``offset``."""
-        ins = self.at(offset)
+
+def no_overlap(starts: set[int], superset: Superset) -> bool:
+    """True when the chosen instruction starts are mutually non-overlapping."""
+    covered_until = -1
+    for start in sorted(starts):
+        ins = superset.at(start)
         if ins is None:
-            return []
-        return list(range(offset + 1, min(ins.end, len(self.text))))
+            return False
+        if start < covered_until:
+            return False
+        covered_until = ins.end
+    return True
 
 
 _SUPERSET_CACHE = REGISTRY.counter(

@@ -41,13 +41,6 @@ class TestDefUsePairs:
         chain = chain_of(lambda a: a.mov_rr(RAX, R13))
         assert analyze_chain(chain).register_anomalies == 0
 
-    def test_pair_density(self):
-        chain = chain_of(lambda a: (a.mov_ri(RCX, 1, width=32),
-                                    a.alu_rr("add", RCX, RCX, width=32),
-                                    a.mov_rr(RAX, RCX)))
-        signals = analyze_chain(chain)
-        assert signals.pair_density > 0.5
-
 
 class TestZeroingIdiom:
     def test_xor_self_defines_without_reading(self):
@@ -122,5 +115,5 @@ class TestEmptyChain:
     def test_empty_chain(self):
         signals = analyze_chain([])
         assert signals.instructions == 0
-        assert signals.pair_density == 0.0
-        assert signals.anomaly_density == 0.0
+        assert signals.defuse_pairs == 0
+        assert signals.register_anomalies == signals.flag_anomalies == 0

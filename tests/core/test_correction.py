@@ -3,8 +3,8 @@
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.engine import FactEngine
-from repro.core.evidence import Evidence, Priority
+from repro.core.engine import CodeClaim, DataClaim, FactEngine
+from repro.core.evidence import Priority
 from repro.isa import Assembler
 from repro.isa.registers import RAX, RBP, RSP
 from repro.superset import Superset
@@ -89,7 +89,7 @@ class TestTracing:
         assert not outcome.aborted
         assert engine.state.is_code_start(0)
 
-    def test_rip_references_collected(self):
+    def test_rip_referenced_data_is_not_traced(self):
         def body(a):
             from repro.isa import rip
             a.lea(RAX, rip("blob"))
@@ -98,8 +98,11 @@ class TestTracing:
             a.db(b"\x01\x02\x03")
         text = assemble(body)
         engine = engine_for(text)
-        outcome = engine.trace_rule.derive(0, Priority.ANCHOR, "test")
-        assert 8 in outcome.rip_references
+        engine.push_claim(CodeClaim(0, Priority.ANCHOR, 1.0, "test"))
+        engine.drain()
+        assert engine.superset.at(0).rip_target == 8
+        assert engine.state.instruction_starts() == {0, 7}
+        assert engine.state.is_unknown(8)
 
 
 class TestEvidenceQueue:
@@ -114,8 +117,8 @@ class TestEvidenceQueue:
             original(claim)
 
         engine.trace_rule.fire = spy
-        engine.push(Evidence("code", 0, 0, Priority.SOFT, 1.0, "soft"))
-        engine.push(Evidence("code", 1, 1, Priority.ANCHOR, 1.0, "anchor"))
+        engine.push_claim(CodeClaim(0, Priority.SOFT, 1.0, "soft"))
+        engine.push_claim(CodeClaim(1, Priority.ANCHOR, 1.0, "anchor"))
         engine.drain()
         assert order == ["anchor", "soft"]
 
@@ -130,17 +133,17 @@ class TestEvidenceQueue:
             original(claim)
 
         engine.trace_rule.fire = spy
-        engine.push(Evidence("code", 0, 0, Priority.SOFT, 1.0, "low"))
-        engine.push(Evidence("code", 1, 1, Priority.SOFT, 9.0, "high"))
+        engine.push_claim(CodeClaim(0, Priority.SOFT, 1.0, "low"))
+        engine.push_claim(CodeClaim(1, Priority.SOFT, 9.0, "high"))
         engine.drain()
         assert order == [9.0, 1.0]
 
     def test_data_evidence_rejected_against_stronger_code(self):
         text = assemble(lambda a: (a.ret(), a.ret()))
         engine = engine_for(text)
-        engine.push(Evidence("code", 0, 0, Priority.ANCHOR, 1.0, "a"))
+        engine.push_claim(CodeClaim(0, Priority.ANCHOR, 1.0, "a"))
         engine.drain()
-        engine.push(Evidence("data", 0, 1, Priority.SOFT, 1.0, "d"))
+        engine.push_claim(DataClaim(0, 1, Priority.SOFT, 1.0, "d"))
         engine.drain()
         assert engine.state.is_code_start(0)
 

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.core.evidence import (ClassificationState,
-                                 Evidence, Priority)
+from repro.core.engine import DataClaim
+from repro.core.evidence import ClassificationState, Priority
 
 
-class TestEvidence:
+class TestDataClaim:
     def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            Evidence("maybe", 0, 0, Priority.SOFT, 1.0, "x")
         with pytest.raises(ValueError, match="inverted"):
-            Evidence("data", 10, 5, Priority.SOFT, 1.0, "x")
+            DataClaim(10, 5, Priority.SOFT, 1.0, "x")
+        assert DataClaim(5, 5, Priority.SOFT, 1.0, "x").end == 5
 
 
 class TestStateBasics:

@@ -3,8 +3,8 @@
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.engine import FactEngine
-from repro.core.evidence import Evidence, Priority
+from repro.core.engine import CodeClaim, FactEngine
+from repro.core.evidence import Priority
 from repro.isa import Assembler
 from repro.isa.registers import RAX, RDI
 from repro.superset import Superset
@@ -16,8 +16,7 @@ def drained_engine(build, entry=0):
     text = a.finish()
     engine = FactEngine(Superset.build(text), np.zeros(len(text)),
                         DEFAULT_CONFIG)
-    engine.push(Evidence("code", entry, entry, Priority.ANCHOR, 1.0,
-                         "entry"))
+    engine.push_claim(CodeClaim(entry, Priority.ANCHOR, 1.0, "entry"))
     engine.drain()
     return engine
 

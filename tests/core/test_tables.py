@@ -5,7 +5,7 @@ import numpy as np
 from repro.binary.container import Section
 from repro.binary.image import MemoryImage
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.engine import FactEngine
+from repro.core.engine import CodeClaim, FactEngine
 from repro.core.evidence import Priority
 from repro.core.tables import (backward_chain,
                                resolve_indirect_jump)
@@ -15,11 +15,10 @@ from repro.superset import Superset
 
 
 def traced_engine(text: bytes, image=None, seed: int = 0):
-    from repro.core.evidence import Evidence
     superset = Superset.build(text)
     engine = FactEngine(superset, np.zeros(len(text)),
                         DEFAULT_CONFIG, image=image)
-    engine.push(Evidence("code", seed, seed, Priority.ANCHOR, 1.0, "test"))
+    engine.push_claim(CodeClaim(seed, Priority.ANCHOR, 1.0, "test"))
     engine.drain()
     return engine
 
@@ -84,8 +83,7 @@ class TestAbsoluteJumpTable:
         superset = Superset.build(text)
         engine = FactEngine(superset, np.zeros(len(text)),
                             DEFAULT_CONFIG)
-        from repro.core.evidence import Evidence
-        engine.push(Evidence("code", 0, 0, Priority.ANCHOR, 1.0, "entry"))
+        engine.push_claim(CodeClaim(0, Priority.ANCHOR, 1.0, "entry"))
         engine.drain()
         assert engine.resolved_tables
         table = engine.resolved_tables[0]

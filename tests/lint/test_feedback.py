@@ -1,7 +1,8 @@
-"""Diagnostics-as-evidence conversion and the disassembler feedback loop."""
+"""Diagnostics-as-claims conversion and the disassembler feedback loop."""
 
 from repro.core.config import DisassemblerConfig
 from repro.core.disassembler import Disassembler
+from repro.core.engine import CodeClaim, DataClaim
 from repro.core.evidence import Priority
 from repro.eval.metrics import evaluate
 from repro.lint import Diagnostic, LintReport, Severity
@@ -22,18 +23,21 @@ def diag(rule, severity=Severity.ERROR, start=16, end=32, suggestion=None):
 class TestConversion:
     def test_data_shape_rule_becomes_data_span_evidence(self):
         report = report_with(diag("string-as-code", suggestion="data"))
-        [evidence] = diagnostics_to_evidence(report)
-        assert evidence.kind == "data"
-        assert (evidence.offset, evidence.end) == (16, 32)
-        assert evidence.priority is Priority.STRUCTURAL
-        assert evidence.source == "lint:string-as-code"
+        [claim] = diagnostics_to_evidence(report)
+        assert type(claim) is DataClaim
+        assert (claim.start, claim.end) == (16, 32)
+        assert claim.priority is Priority.STRUCTURAL
+        assert claim.weight == 1.0
+        assert claim.source == "lint:string-as-code"
 
     def test_code_target_rule_becomes_point_evidence(self):
         report = report_with(diag("branch-into-data", suggestion="code"))
-        [evidence] = diagnostics_to_evidence(report)
-        assert evidence.kind == "code"
-        assert (evidence.offset, evidence.end) == (16, 16)
-        assert evidence.priority is Priority.STRUCTURAL
+        [claim] = diagnostics_to_evidence(report)
+        assert type(claim) is CodeClaim
+        assert claim.offset == 16
+        assert claim.priority is Priority.STRUCTURAL
+        assert claim.weight == 1.0
+        assert claim.source == "lint:branch-into-data"
 
     def test_rules_without_unique_fix_produce_nothing(self):
         report = report_with(diag("dangling-fallthrough"),

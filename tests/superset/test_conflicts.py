@@ -1,9 +1,8 @@
-"""Tests for candidate overlap conflicts."""
+"""Tests for the overlap checker ``no_overlap``."""
 
 from repro.isa import Assembler
 from repro.isa.registers import RAX
-from repro.superset import (Superset, conflicting_offsets,
-                            covering_candidates, no_overlap)
+from repro.superset import Superset, no_overlap
 
 
 def five_byte_mov() -> Superset:
@@ -11,28 +10,6 @@ def five_byte_mov() -> Superset:
     a.mov_ri(RAX, 1, width=32)   # b8 01 00 00 00
     a.ret()
     return Superset.build(a.finish())
-
-
-class TestConflicts:
-    def test_interior_offsets_conflict(self):
-        superset = five_byte_mov()
-        conflicts = conflicting_offsets(superset, 0)
-        assert conflicts == {1, 2, 3, 4}
-
-    def test_covering_candidate_conflicts_backward(self):
-        superset = five_byte_mov()
-        # Offset 2 is occluded by the candidate at 0 (if 2 decodes).
-        if superset.is_valid(2):
-            assert 0 in conflicting_offsets(superset, 2)
-
-    def test_invalid_offset_has_no_conflicts(self):
-        superset = Superset.build(b"\x06\x90")
-        assert conflicting_offsets(superset, 0) == set()
-
-    def test_covering_candidates(self):
-        superset = five_byte_mov()
-        covering = covering_candidates(superset, 3)
-        assert 0 in covering
 
 
 class TestNoOverlap:

@@ -1,7 +1,6 @@
 """Tests for superset disassembly."""
 
-from repro.isa import Assembler, decode
-from repro.isa.registers import RAX
+from repro.isa import Assembler
 from repro.superset import Superset
 
 
@@ -88,14 +87,6 @@ class TestPredecessorsAndTargets:
         target = superset.at(0).branch_target
         assert superset.direct_call_targets[target] >= 2
 
-    def test_jump_targets(self):
-        a = Assembler()
-        a.jcc("ne", "x")
-        a.bind("x")
-        a.ret()
-        superset = Superset.build(a.finish())
-        assert superset.direct_jump_targets.get(6, 0) >= 1
-
 
 class TestChains:
     def test_chain_stops_at_terminator(self):
@@ -111,12 +102,6 @@ class TestChains:
         superset = Superset.build(b"\x90\x06\x90")   # nop, invalid, nop
         chain = superset.fallthrough_chain(0, 10)
         assert len(chain) == 1
-
-    def test_occluded_by(self):
-        a = Assembler()
-        a.mov_ri(RAX, 1, width=32)    # 5 bytes at offset 0
-        superset = Superset.build(a.finish() + b"\x90")
-        assert superset.occluded_by(0) == [1, 2, 3, 4]
 
 
 class TestRepeatedRunFastPath:
