@@ -5,12 +5,15 @@ binary once, snapshot its :class:`~repro.core.FactBase`, patch a
 handful of bytes, and re-disassemble.  The incremental path re-decodes
 and re-scores only the offsets whose support windows touch the patch
 (a few hundred of tens of thousands) and re-enters the correction
-fixpoint; the cold path repeats every phase.  Two gates:
+fixpoint; the cold path repeats every phase.
 
-* **Equivalence**: the incremental result is byte-identical to the
-  cold result over the patched bytes -- corpus-wide, per patch.
-* **Speedup**: the incremental re-disassembly beats the cold one by at
-  least ``--threshold`` (default 3x) end to end.
+* **Equivalence** is checked here and fails the script: the
+  incremental result is byte-identical to the cold result over the
+  patched bytes -- corpus-wide, per patch.
+* **Speedup** (cold over incremental, end to end) is only measured
+  here.  Its bound (``correct-speedup``, >= 3x) lives in
+  ``benchmarks/slo.toml`` and is enforced by ``repro obs gate`` once
+  the JSON artifact is recorded.
 
 Per-path times are best-of ``--repeats`` with paths interleaved, so
 machine drift hits both equally.  Results are written to
@@ -61,8 +64,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="functions per generated binary")
     parser.add_argument("--repeats", type=int, default=3,
                         help="interleaved rounds per path (best-of)")
-    parser.add_argument("--threshold", type=float, default=3.0,
-                        help="minimum incremental-over-cold speedup, x")
     parser.add_argument("--json", metavar="PATH", default=str(DEFAULT_JSON),
                         help="write results as a BENCH_*.json artifact")
     args = parser.parse_args(argv)
@@ -121,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, seconds in best.items():
         print(f"{name:>12}: {seconds:.3f}s  "
               f"{seconds / len(snapshots) * 1000:.1f}ms/binary")
-    print(f"speedup: {speedup:.2f}x (gate: >= {args.threshold:.1f}x)")
+    print(f"speedup: {speedup:.2f}x")
 
     if args.json:
         write_bench_json(args.json, bench_envelope(
@@ -141,11 +142,6 @@ def main(argv: list[str] | None = None) -> int:
             },
         ))
         print(f"wrote {args.json}")
-
-    if speedup < args.threshold:
-        print(f"error: speedup {speedup:.2f}x below the "
-              f"{args.threshold:.1f}x gate", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -4,12 +4,15 @@ Superset construction (the ``superset`` phase of the disassembly
 pipeline, and the dominant cost of ``bench_t2_accuracy``'s corpus
 evaluation) decodes a candidate at every byte offset.  This benchmark
 times exactly that phase -- ``Superset.build`` over the t2 benchmark
-corpus -- under both decoder backends and gates two promises:
+corpus -- under both decoder backends and reports the compiled-over-
+interpreted speedup.
 
-* **Equivalence**: the compiled engine's superset output is identical
-  to the interpretive oracle's, candidate by candidate, corpus-wide.
-* **Speedup**: the compiled backend beats the oracle by at least
-  ``--threshold`` (default 5x) on the superset-decode phase.
+* **Equivalence** is checked here and fails the script: the compiled
+  engine's superset output must be identical to the interpretive
+  oracle's, candidate by candidate, corpus-wide.
+* **Speedup** is only measured here.  Its bound (``decode-speedup``,
+  >= 5x) lives in ``benchmarks/slo.toml`` and is enforced by
+  ``repro obs gate`` once the JSON artifact is recorded.
 
 Per-backend times are best-of ``--repeats`` with backends interleaved,
 so machine drift hits both equally.  Results (including bytes/sec
@@ -74,8 +77,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="functions per generated binary")
     parser.add_argument("--repeats", type=int, default=5,
                         help="interleaved rounds per backend (best-of)")
-    parser.add_argument("--threshold", type=float, default=5.0,
-                        help="minimum compiled-over-interp speedup, x")
     parser.add_argument("--json", metavar="PATH", default=str(DEFAULT_JSON),
                         help="write results as a BENCH_*.json artifact")
     args = parser.parse_args(argv)
@@ -118,15 +119,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:>8}: {best[name]:.3f}s  "
               f"{best[name] / total_bytes * 1e6:.2f}us/offset  "
               f"{throughput[name] / 1e6:.2f} MB/s")
-    print(f"speedup: {speedup:.2f}x (gate: >= {args.threshold:.1f}x)")
+    print(f"speedup: {speedup:.2f}x")
 
     if args.json:
         write_bench_json(args.json, bench_envelope(
             "decode",
             config={"sections": len(texts), "bytes": total_bytes,
                     "functions": args.functions, "seeds": [0],
-                    "repeats": args.repeats,
-                    "threshold": args.threshold},
+                    "repeats": args.repeats},
             metrics={
                 "seconds": best,
                 "bytes_per_second": {
@@ -140,11 +140,6 @@ def main(argv: list[str] | None = None) -> int:
             },
         ))
         print(f"wrote {args.json}")
-
-    if speedup < args.threshold:
-        print(f"FAIL: speedup {speedup:.2f}x below the "
-              f"{args.threshold:.1f}x gate", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -8,9 +8,12 @@ table), and all three trends are asserted byte-identical before any
 number is reported: a throughput figure for a schedule that changes the
 answer would be meaningless.
 
-The emitted BENCH JSON embeds the trend document itself, so the same
-artifact doubles as the committed taxonomy baseline that
-``repro evalfleet diff`` / the CI fleet-smoke job gate against.
+The emitted BENCH JSON carries throughput only.  The committed
+accuracy baseline is the trend document itself,
+``benchmarks/results/TREND_fleet.json`` (the ``trend.json`` of the
+60-binary CI grid, ``evalfleet plan --functions 6,8 --seed-range
+0:10``), which the run-record store diffs against each revision's
+fresh trend.
 
 Usage::
 
@@ -160,9 +163,6 @@ def main(argv: list[str] | None = None) -> int:
                 "seconds": {label: round(elapsed, 2)
                             for label, elapsed in passes.items()},
             },
-            # Top-level on purpose: load_trend() reads BENCH_fleet.json
-            # as a baseline by looking for an embedded "trend" key.
-            trend=trends["serial"],
         ))
         print(f"wrote {args.json}")
     return 0

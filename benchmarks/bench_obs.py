@@ -5,19 +5,21 @@ Measures the t2 corpus (one seed per style) under five modes:
 * **control** -- the pipeline with the tracing hook swapped for a
   bare phase timer (the pre-observability baseline).
 * **off** -- the shipped default: hooks present, tracing, profiling
-  and provenance disabled.  The headline assertion is that this costs
-  less than ``--threshold`` percent (default 2%) over control, that a
-  disabled run opens exactly zero spans, and that it takes exactly
-  zero profiler samples.
+  and provenance disabled.  The script fails unless a disabled run
+  opens exactly zero spans and takes exactly zero profiler samples,
+  and reports its overhead over control.
 * **trace** -- spans on (in-memory tracer), measuring the tracing tax.
-* **sampled** -- the sampling profiler on (default 5 ms interval),
-  asserted under the same ``--threshold`` overhead ceiling: continuous
-  profiling must stay cheap enough to leave on for whole fleet runs.
+* **sampled** -- the sampling profiler on (default 5 ms interval):
+  continuous profiling must stay cheap enough to leave on for whole
+  fleet runs.
 * **provenance** -- the per-byte audit trail on, measuring why it is
   opt-in (see DESIGN.md).
 
 Per-mode times are best-of ``--repeats`` with modes interleaved, so
-machine drift hits every mode equally.
+machine drift hits every mode equally.  The overhead ceilings
+(``obs-off-overhead`` and ``obs-sampling-overhead``, <= 5%) live in
+``benchmarks/slo.toml`` and are enforced by ``repro obs gate`` once
+the JSON artifact is recorded.
 
 Usage::
 
@@ -81,8 +83,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="functions per generated binary")
     parser.add_argument("--repeats", type=int, default=3,
                         help="interleaved rounds per mode (best-of)")
-    parser.add_argument("--threshold", type=float, default=2.0,
-                        help="max tracing-off overhead over control, %%")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write results as a BENCH_*.json artifact")
     args = parser.parse_args(argv)
@@ -180,8 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         write_bench_json(args.json, bench_envelope(
             "obs",
             config={"functions": args.functions,
-                    "repeats": args.repeats,
-                    "threshold_pct": args.threshold},
+                    "repeats": args.repeats},
             metrics={
                 "seconds": dict(sorted(best.items())),
                 "off_overhead_pct": round(overhead, 3),
@@ -198,19 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     if samples_disabled != 0:
         failures.append(f"disabled modes took {samples_disabled} "
                         f"profiler samples (expected 0)")
-    if overhead >= args.threshold:
-        failures.append(f"tracing-off overhead {overhead:.2f}% >= "
-                        f"{args.threshold}% threshold")
-    if sampled_overhead >= args.threshold:
-        failures.append(f"sampling overhead {sampled_overhead:.2f}% >= "
-                        f"{args.threshold}% threshold")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
-        print(f"ok: tracing-off overhead {overhead:.2f}% < "
-              f"{args.threshold}%, sampling overhead "
-              f"{sampled_overhead:.2f}% < {args.threshold}%, zero "
-              f"spans and zero samples while disabled")
+        print("ok: zero spans and zero samples while disabled")
     return 1 if failures else 0
 
 

@@ -172,8 +172,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     base = Path(args.case)
-    case = TestCase.load(base.parent if base.parent != Path("")
-                         else Path("."), base.name)
+    if base.suffix == ".bin":       # a container path, not a prefix
+        base = base.with_suffix("")
+    try:
+        case = TestCase.load(base.parent, base.name)
+    except (OSError, ValueError) as error:
+        print(f"evaluate: {args.case}: {error}", file=sys.stderr)
+        return 2
     disassembler = Disassembler()
     evaluation = evaluate(disassembler.disassemble(case), case.truth)
     print(f"instruction precision: {evaluation.instructions.precision:.4f}")
@@ -445,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate_cmd = sub.add_parser(
         "evaluate", help="score the disassembler against ground truth")
-    evaluate_cmd.add_argument("case", help="path prefix of .bin/.gt.json")
+    evaluate_cmd.add_argument("case", help="path prefix of .bin/.gt.json "
+                                           "(or the .bin path itself)")
     evaluate_cmd.set_defaults(func=_cmd_evaluate)
 
     rewrite = sub.add_parser(

@@ -25,7 +25,7 @@ import sys
 import time
 
 from ..baselines import (heuristic_descent, linear_sweep,
-                         probabilistic_disassembly, recursive_descent)
+                         probabilistic_disassembly)
 from ..binary.loader import TestCase
 from ..core.config import ABLATION_CONFIGS, DisassemblerConfig
 from ..core.disassembler import Disassembler
@@ -33,32 +33,14 @@ from ..perf import bench_envelope, write_bench_json
 from ..synth.corpus import BinarySpec, density_style, generate_binary
 from ..synth.styles import MSVC_LIKE, STYLES
 from .dataset import EVAL_SEEDS, characteristics, evaluation_corpus
-from .metrics import Evaluation, aggregate, evaluate
 from .parallel import (ToolSpec, baseline_spec,
                        evaluate_tools, predict_pairs, repro_spec)
 from .report import Table
 
-#: Baseline tools compared in every accuracy experiment (legacy
-#: callable form; the runners themselves use declarative ToolSpecs).
-BASELINES = {
-    "linear-sweep": lambda case: linear_sweep(case.text),
-    "recursive-descent": lambda case: recursive_descent(case.text, 0),
-    "rd-heuristic": lambda case: heuristic_descent(case.text, 0),
-    "probabilistic": lambda case: probabilistic_disassembly(case.text, 0),
-}
-
-#: Spec forms of the same tools, in canonical table order.
-BASELINE_SPECS = tuple(baseline_spec(name) for name in BASELINES)
-
-
-def _our_tool(config: DisassemblerConfig | None = None):
-    disassembler = Disassembler(config=config) if config else Disassembler()
-    return lambda case: disassembler.disassemble(case)
-
-
-def _evaluate_tool(tool_name: str, runner, cases) -> Evaluation:
-    evaluations = [evaluate(runner(case), case.truth) for case in cases]
-    return aggregate(evaluations, tool_name)
+#: Baseline tools compared in every accuracy experiment, in canonical
+#: table order.
+BASELINE_SPECS = tuple(baseline_spec(name) for name in (
+    "linear-sweep", "recursive-descent", "rd-heuristic", "probabilistic"))
 
 
 def _all_tool_specs() -> list[ToolSpec]:

@@ -8,12 +8,13 @@ driver over worker pools or a live serve tier
 (:mod:`repro.fleet.analysis`), a shared error taxonomy every signal
 maps onto (:mod:`repro.fleet.taxonomy`), and an aggregator emitting a
 deterministic trend document plus Prometheus-scrapeable ``fleet_*``
-metrics and a regression gate (:mod:`repro.fleet.aggregate`).
+metrics (:mod:`repro.fleet.aggregate`).  The trend is gated across
+revisions by the run-record store (``repro obs diff``), not here.
 """
 
 from .aggregate import (TREND_SCHEMA, aggregate, check_separation,
-                        compare_trends, load_trend, publish_metrics,
-                        render_report, trend_json, write_trend)
+                        publish_metrics, render_report, trend_json,
+                        write_trend)
 from .analysis import ALL_TOOLS, BASELINES, CORRECTED, analyze_item
 from .driver import (DEFAULT_SHARD_SIZE, SHARD_SCHEMA, FleetConfig,
                      load_run_reports, run_fleet)
@@ -40,10 +41,8 @@ __all__ = [
     "aggregate",
     "analyze_item",
     "check_separation",
-    "compare_trends",
     "ingest_directory",
     "load_run_reports",
-    "load_trend",
     "parse_seed_range",
     "plan_grid",
     "publish_metrics",

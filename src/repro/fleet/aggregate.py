@@ -1,15 +1,18 @@
-"""Fleet aggregation: raw per-binary reports -> taxonomy trend + gate.
+"""Fleet aggregation: raw per-binary reports -> taxonomy trend.
 
 The aggregator is a pure function from a set of per-binary reports to
 one schema-versioned *trend* document: every lint diagnostic mapped
 onto the shared error taxonomy, ground-truth byte confusions pooled
 per tool and per style, differential disagreement summed, and the
 corrected-vs-baseline separation the paper predicts evaluated
-explicitly.  Nothing time- or machine-dependent enters the trend, so
-it is byte-identical for a given manifest regardless of worker count,
-shard order, ``--via`` mode, or how many times the run was killed and
+explicitly (:func:`check_separation` turns it into failure messages).
+Nothing time- or machine-dependent enters the trend, so it is
+byte-identical for a given manifest regardless of worker count, shard
+order, ``--via`` mode, or how many times the run was killed and
 resumed -- which is what makes it safe to commit as a regression
-baseline and diff in CI.
+baseline (``benchmarks/results/TREND_fleet.json``).  Cross-revision
+comparison is not done here: ``repro obs record`` flattens the trend
+into the run-record store and ``repro obs diff`` gates it there.
 """
 
 from __future__ import annotations
@@ -178,20 +181,8 @@ def write_trend(path: str | Path, trend: dict) -> Path:
     return path
 
 
-def load_trend(path: str | Path) -> dict:
-    """Read a trend document; accepts a BENCH_*.json that embeds one."""
-    raw = json.loads(Path(path).read_text())
-    if raw.get("schema") == TREND_SCHEMA:
-        return raw
-    embedded = raw.get("trend")
-    if isinstance(embedded, dict) and embedded.get("schema") == TREND_SCHEMA:
-        return embedded
-    raise ValueError(f"{path}: not a fleet trend document "
-                     f"(schema={raw.get('schema')!r})")
-
-
 # ----------------------------------------------------------------------
-# Gating
+# Separation
 # ----------------------------------------------------------------------
 
 def check_separation(trend: dict) -> list[str]:
@@ -210,57 +201,6 @@ def check_separation(trend: dict) -> list[str]:
                     f"separation vs {baseline} on {axis}: corrected "
                     f"{cell['corrected']} is not strictly below "
                     f"{cell['baseline']}")
-    return problems
-
-
-def compare_trends(current: dict, baseline: dict, *,
-                   rel_tol: float = 0.02,
-                   abs_tol: float = 0.05) -> list[str]:
-    """Regression messages for the corrected tool vs a baseline trend.
-
-    Gated quantities are *rates* (per scored byte for ground-truth
-    classes, per evaluated binary for lint-derived taxonomy errors), so
-    the gate survives corpus growth.  A value regresses when it
-    exceeds ``baseline * (1 + rel_tol) + abs_tol_scaled``.  Baseline
-    errors/failures the current run fixed never fail the gate.
-    """
-    problems = []
-
-    current_ok = max(current["binaries"]["ok"], 1)
-    baseline_ok = max(baseline["binaries"]["ok"], 1)
-    cur_fail = current["binaries"]["failed"] / max(
-        current["binaries"]["total"], 1)
-    base_fail = baseline["binaries"]["failed"] / max(
-        baseline["binaries"]["total"], 1)
-    if cur_fail > base_fail * (1 + rel_tol) + 0.01:
-        problems.append(f"failure rate regressed: {cur_fail:.4f} vs "
-                        f"baseline {base_fail:.4f}")
-
-    current_tool = current["tools"][CORRECTED]
-    baseline_tool = baseline["tools"][CORRECTED]
-    for cls in ALL_CLASSES:
-        ours = (current_tool["taxonomy"][cls.value]["errors"]
-                / current_ok)
-        theirs = (baseline_tool["taxonomy"][cls.value]["errors"]
-                  / baseline_ok)
-        if ours > theirs * (1 + rel_tol) + abs_tol:
-            problems.append(
-                f"taxonomy regression [{cls.value}]: corrected error "
-                f"diagnostics {ours:.4f}/binary vs baseline "
-                f"{theirs:.4f}/binary")
-
-    for rate, cls in (("false_code_rate", ErrorClass.FALSE_CODE),
-                      ("missed_code_rate", ErrorClass.MISSED_CODE),
-                      ("total_error_rate", None)):
-        ours = current_tool["gt"].get(rate, 0.0)
-        theirs = baseline_tool["gt"].get(rate, 0.0)
-        if ours > theirs * (1 + rel_tol) + 1e-4:
-            label = cls.value if cls else "total"
-            problems.append(f"ground-truth regression [{label}]: "
-                            f"corrected {rate}={ours} vs baseline "
-                            f"{theirs}")
-
-    problems.extend(check_separation(current))
     return problems
 
 

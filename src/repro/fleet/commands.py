@@ -1,26 +1,25 @@
-"""``repro evalfleet``: plan / run / resume / report / diff.
+"""``repro evalfleet``: plan / run / resume / report.
 
 The CLI surface of the evaluation fleet.  ``plan`` writes a
 reproducible manifest (synthetic grid and/or ingested directories),
 ``run`` executes it with checkpointed shards, ``resume`` re-enters an
-interrupted run directory, ``report`` re-aggregates whatever is
-checkpointed so far, and ``diff`` gates one trend against a committed
-baseline -- exiting non-zero on taxonomy regression, which is what
-turns the fleet into a population-level CI gate.
+interrupted run directory, and ``report`` re-aggregates whatever is
+checkpointed so far.  ``run``/``resume --check-separation`` exit
+non-zero when the paper-predicted separation breaks; comparing a trend
+against a committed baseline is ``repro obs record`` + ``repro obs
+diff`` (the run-record store is the one regression gate).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from ..synth.styles import STYLES
-from .aggregate import (aggregate, check_separation, compare_trends,
-                        load_trend, publish_metrics, render_report,
-                        trend_json, write_trend)
+from .aggregate import (aggregate, check_separation, publish_metrics,
+                        render_report, trend_json, write_trend)
 from .driver import DEFAULT_SHARD_SIZE, FleetConfig, run_fleet
 from .manifest import (Manifest, ingest_directory, parse_seed_range,
                        plan_grid)
@@ -102,21 +101,13 @@ def _execute(manifest: Manifest, args: argparse.Namespace) -> int:
         write_trend(args.trend, trend)
         print(f"wrote {args.trend}")
 
-    problems: list[str] = []
-    if args.trend_baseline:
-        baseline = load_trend(args.trend_baseline)
-        problems = compare_trends(trend, baseline,
-                                  rel_tol=args.tolerance)
-    elif args.check_separation:
-        problems = check_separation(trend)
+    problems = check_separation(trend) if args.check_separation else []
     for problem in problems:
         print(f"GATE: {problem}", file=sys.stderr)
     if problems:
         print(f"evalfleet: {len(problems)} gate violation(s)",
               file=sys.stderr)
         return 1
-    if args.trend_baseline:
-        print("gate: no taxonomy regression vs baseline")
     return 0
 
 
@@ -182,25 +173,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        current = load_trend(args.current)
-        baseline = load_trend(args.baseline)
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        print(f"evalfleet diff: {error}", file=sys.stderr)
-        return 2
-    problems = compare_trends(current, baseline, rel_tol=args.tolerance)
-    for problem in problems:
-        print(f"GATE: {problem}", file=sys.stderr)
-    if problems:
-        print(f"evalfleet diff: {len(problems)} regression(s) vs "
-              f"{args.baseline}", file=sys.stderr)
-        return 1
-    print(f"evalfleet diff: no taxonomy regression "
-          f"({args.current} vs {args.baseline})")
-    return 0
-
-
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rundir", required=True,
                         help="checkpoint directory (resumable)")
@@ -219,12 +191,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trend", metavar="PATH", default=None,
                         help="also write the trend JSON here "
                              "(rundir/trend.json is always written)")
-    parser.add_argument("--trend-baseline", metavar="PATH", default=None,
-                        help="gate against this trend (or BENCH json "
-                             "embedding one); exit 1 on regression")
-    parser.add_argument("--tolerance", type=float, default=0.02,
-                        help="relative regression tolerance for the "
-                             "gate (default: 0.02)")
     parser.add_argument("--check-separation", action="store_true",
                         help="fail unless corrected separates from "
                              "every baseline where the paper predicts")
@@ -289,12 +255,3 @@ def add_evalfleet_parser(sub) -> None:
                         choices=("text", "json", "prometheus"),
                         default="text")
     report.set_defaults(func=cmd_report)
-
-    diff = fleet_sub.add_parser(
-        "diff", help="gate one trend against a baseline trend")
-    diff.add_argument("current", help="trend JSON under test")
-    diff.add_argument("baseline",
-                      help="baseline trend JSON (or a BENCH_fleet.json "
-                           "embedding one)")
-    diff.add_argument("--tolerance", type=float, default=0.02)
-    diff.set_defaults(func=cmd_diff)

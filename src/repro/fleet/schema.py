@@ -4,7 +4,7 @@ One authoritative definition CI and the test suite share, mirroring
 :mod:`repro.obs.schema`.  Usable as a library
 (:func:`validate_document`, :func:`validate_file`) and as a command::
 
-    python -m repro.fleet.schema benchmarks/results/TREND.json
+    python -m repro.fleet.schema benchmarks/results/TREND_fleet.json
 
 which dispatches on the embedded ``schema`` tag, exits non-zero on the
 first violation, and prints a one-line summary on success.

@@ -4,7 +4,7 @@ Different quality signals speak different languages: lint diagnostics
 carry rule ids, differential comparison produces per-byte disagreement
 counts, and synthetic ground truth yields exact byte confusions.  The
 fleet aggregator needs them on one axis so a dashboard (and the trend
-gate) can ask "did boundary errors regress?" without caring which
+diff) can ask "did boundary errors regress?" without caring which
 detector noticed.  :class:`ErrorClass` is that axis, following the
 taxonomy of the ground-truth-generation SoK (false code / missed code /
 boundary confusion / gap mishandling / table misinterpretation) plus a
@@ -102,8 +102,9 @@ def taxonomy_of(rule_id: str) -> ErrorClass:
 #: claim); per-class entries name the failure mode each baseline is
 #: known for: linear sweep decodes embedded data (false code), while
 #: recursive descent cannot reach indirect-only functions (missed
-#: code).  The trend gate requires the corrected pooled count to be
-#: *strictly* below the baseline's on every listed axis.
+#: code).  ``check_separation`` (``evalfleet run --check-separation``)
+#: requires the corrected pooled count to be *strictly* below the
+#: baseline's on every listed axis.
 EXPECTED_SEPARATIONS: dict[str, tuple[str, ...]] = {
     "linear-sweep": ("false-code", "total"),
     "recursive-descent": ("missed-code", "total"),

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..perf import validate_bench_envelope
 from .store import RunRecord, StoreError
 
 #: Kinds this module can produce (bench kinds carry a tool suffix).
@@ -108,23 +109,17 @@ def flatten_trend(trend: dict) -> dict:
 
 
 def flatten_bench(doc: dict) -> tuple[str, dict]:
-    """Bench envelope -> (kind, metrics).
+    """Bench envelope -> (kind, metrics); the kind is ``bench-<tool>``.
 
-    The unified envelope carries ``tool`` + ``metrics``; legacy
-    free-form payloads (pre-envelope BENCH dumps) fall back to
-    flattening every numeric leaf outside the environment keys.
+    Only the ``metrics`` dict is flattened: ``config`` is context, not
+    a trended measurement.  A document that fails
+    :func:`~repro.perf.validate_bench_envelope` is rejected whole.
     """
-    tool = doc.get("tool") or doc.get("kind") or doc.get("benchmark")
-    if not tool:
-        raise IngestError("bench payload names no tool "
-                          "(expected a 'tool' field)")
-    kind = f"bench-{tool}"
-    if isinstance(doc.get("metrics"), dict):
-        return kind, flatten_numeric(doc["metrics"])
-    skip = {"schema", "python", "platform", "cpu_count",
-            "decoder_backend", "kind", "benchmark", "tool", "trend"}
-    body = {key: value for key, value in doc.items() if key not in skip}
-    return kind, flatten_numeric(body)
+    problems = validate_bench_envelope(doc)
+    if problems:
+        raise IngestError("not a valid repro-bench-v1 envelope: "
+                          + "; ".join(problems))
+    return f"bench-{doc['tool']}", flatten_numeric(doc["metrics"])
 
 
 def flatten_metrics_snapshot(snapshot: dict) -> dict:

@@ -2,7 +2,8 @@
 
 :func:`bench_envelope` builds the document, :func:`validate_bench_envelope`
 checks its schema, and :func:`write_bench_json` writes it, so benchmark
-runs leave ``BENCH_*.json`` artifacts later runs can diff against.
+runs leave ``BENCH_*.json`` artifacts that ``repro obs record`` ingests
+and ``repro obs diff`` / ``repro obs gate`` compare.
 Phase timing lives in :func:`repro.obs.trace.phase_span`.
 """
 
@@ -20,7 +21,7 @@ BENCH_SCHEMA = "repro-bench-v1"
 
 
 def bench_envelope(tool: str, config: dict | None = None,
-                   metrics: dict | None = None, **extra) -> dict:
+                   metrics: dict | None = None) -> dict:
     """The unified ``repro-bench-v1`` envelope every bench script emits.
 
     * ``tool`` names the benchmark (``decode``, ``correct``, ``fleet``,
@@ -32,10 +33,9 @@ def bench_envelope(tool: str, config: dict | None = None,
       numeric leaves), the only part regression trending looks at.
 
     The envelope also stamps the environment (Python version,
-    platform, CPU count, decoder backend).  ``extra`` lands at the top
-    level for artifact-specific payloads that other consumers address
-    directly (e.g. ``trend=...``, which
-    ``repro.fleet.aggregate.load_trend`` expects beside ``metrics``).
+    platform, CPU count, decoder backend).  Pass/fail bounds never
+    live here or in the scripts: they are ``benchmarks/slo.toml``
+    entries evaluated by ``repro obs gate`` over the recorded metrics.
     """
     from .isa.decoder import decoder_backend  # lazy: perf is low-level
     return {
@@ -47,7 +47,6 @@ def bench_envelope(tool: str, config: dict | None = None,
         "tool": tool,
         "config": dict(config or {}),
         "metrics": dict(metrics or {}),
-        **extra,
     }
 
 

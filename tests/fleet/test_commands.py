@@ -1,9 +1,7 @@
-"""CLI-level tests: evalfleet plan/run/resume/report/diff and the
+"""CLI-level tests: evalfleet plan/run/resume/report and the
 `repro generate` manifest round trip."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -118,27 +116,6 @@ class TestRunReportDiff:
 
     def test_report_on_empty_rundir(self, tmp_path, capsys):
         assert main(["evalfleet", "report", str(tmp_path)]) == 2
-
-    def test_diff_self_passes(self, finished_run, capsys):
-        trend = str(finished_run / "trend.json")
-        assert main(["evalfleet", "diff", trend, trend]) == 0
-        assert "no taxonomy regression" in capsys.readouterr().out
-
-    def test_diff_flags_regression(self, finished_run, tmp_path,
-                                   capsys):
-        trend = json.loads((finished_run / "trend.json").read_text())
-        tool = trend["tools"]["corrected"]
-        tool["taxonomy"]["false-code"]["diagnostics"] += 50
-        tool["taxonomy"]["false-code"]["errors"] += 50
-        worse = tmp_path / "worse.json"
-        worse.write_text(json.dumps(trend))
-        assert main(["evalfleet", "diff", str(worse),
-                     str(finished_run / "trend.json")]) == 1
-        assert "GATE:" in capsys.readouterr().err
-
-    def test_diff_usage_error(self, tmp_path, capsys):
-        assert main(["evalfleet", "diff", str(tmp_path / "a.json"),
-                     str(tmp_path / "b.json")]) == 2
 
     def test_resume_of_finished_run_recomputes_nothing(self,
                                                        finished_run,

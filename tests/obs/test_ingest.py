@@ -70,12 +70,15 @@ class TestFlattenBench:
         # Config is context, not a trended measurement.
         assert "sections" not in flat
 
-    def test_legacy_payload_falls_back_to_numeric_leaves(self):
-        kind, flat = flatten_bench({
-            "kind": "fleet", "python": "3.11", "cpu_count": 8,
-            "throughput": 2.5, "trend": {"binaries": {"total": 9}}})
-        assert kind == "bench-fleet"
-        assert flat == {"throughput": 2.5}
+    def test_pre_envelope_payload_is_rejected_with_its_problems(self):
+        with pytest.raises(IngestError) as caught:
+            flatten_bench({
+                "kind": "fleet", "python": "3.11", "cpu_count": 8,
+                "throughput": 2.5, "trend": {"binaries": {"total": 9}}})
+        message = str(caught.value)
+        assert "repro-bench-v1" in message
+        for problem in ("schema", "'tool'", "'config'", "'metrics'"):
+            assert problem in message
 
     def test_toolless_payload_is_an_error(self):
         with pytest.raises(IngestError, match="tool"):

@@ -1,7 +1,13 @@
 """Tests for cross-revision diffing and reporting (repro.obs.report)."""
 
+import copy
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.fleet import ALL_CLASSES, CORRECTED, write_trend
+from repro.obs.ingest import ingest_file
 from repro.obs.report import (DEFAULT_NOISE, DIFF_SCHEMA, NoiseBand,
                               band_of, diff_revisions, direction_of,
                               load_noise_spec, regressions,
@@ -194,3 +200,62 @@ class TestReportRevision:
         diff = report_revision(store, "cccc", baseline="aaaa")
         assert diff["base_rev"] == "aaaa"
         assert diff["summary"]["regressed"] == 1
+
+
+class TestFleetTrendGate:
+    """The store is the fleet's only cross-revision gate: a fresh trend
+    recorded next to the committed baseline must be compared metric by
+    metric, and every corrected-tool regression must be named."""
+
+    BASELINE = (Path(__file__).resolve().parents[2] / "benchmarks"
+                / "results" / "TREND_fleet.json")
+
+    @pytest.fixture
+    def baseline(self):
+        return json.loads(self.BASELINE.read_text())
+
+    def gate(self, tmp_path, base_trend, current_trend):
+        store = RunStore()
+        for rev, trend in (("base", base_trend), ("head", current_trend)):
+            path = write_trend(tmp_path / f"{rev}.json", trend)
+            store.add(ingest_file(path, git_rev=rev, run_id="r0",
+                                  timestamp=rev))
+        diff = diff_revisions(store, "base", "head")
+        assert "only_in" not in diff["kinds"]["fleet-trend"]
+        return diff, regressions(diff)
+
+    def test_same_trend_has_no_regressions(self, tmp_path, baseline):
+        diff, problems = self.gate(tmp_path, baseline, baseline)
+        assert problems == []
+        compared = diff["kinds"]["fleet-trend"]["metrics"]
+        assert compared and all(cell["status"] == "unchanged"
+                                for cell in compared.values())
+
+    @pytest.mark.parametrize("cls", [cls.value for cls in ALL_CLASSES])
+    def test_one_more_corrected_class_error_is_named(self, tmp_path,
+                                                     baseline, cls):
+        worse = copy.deepcopy(baseline)
+        worse["tools"][CORRECTED]["taxonomy"][cls]["errors"] += 1
+        _, problems = self.gate(tmp_path, baseline, worse)
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            f"fleet-trend:{CORRECTED}.taxonomy.{cls}.errors:")
+
+    def test_higher_ground_truth_error_rate_is_named(self, tmp_path,
+                                                     baseline):
+        worse = copy.deepcopy(baseline)
+        gt = worse["tools"][CORRECTED]["gt"]
+        gt["total_error_rate"] = round(gt["total_error_rate"] * 1.05, 8)
+        _, problems = self.gate(tmp_path, baseline, worse)
+        assert [p.split(":")[1] for p in problems] == \
+            [f"{CORRECTED}.total_error_rate"]
+
+    def test_one_failed_binary_flags_the_failure_rate(self, tmp_path,
+                                                      baseline):
+        worse = copy.deepcopy(baseline)
+        worse["binaries"]["total"] += 1
+        worse["binaries"]["failed"] += 1
+        worse["failures"].append({"id": "file/x", "error": "boom"})
+        _, problems = self.gate(tmp_path, baseline, worse)
+        assert any(p.startswith("fleet-trend:binaries.failure_rate:")
+                   for p in problems)

@@ -118,6 +118,25 @@ class TestEvaluate:
         assert "instruction F1:" in out
         assert "byte errors:" in out
 
+    def test_accepts_the_bin_path_itself(self, generated, capsys):
+        assert main(["evaluate", str(generated.with_suffix(".bin"))]) == 0
+        assert "instruction F1:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("missing", [".bin", ".gt.json"])
+    def test_missing_file_is_a_one_line_usage_error(self, generated,
+                                                    tmp_path, missing,
+                                                    capsys):
+        prefix = tmp_path / "partial"
+        for suffix in (".bin", ".gt.json"):
+            if suffix != missing:
+                source = generated.parent / f"demo{suffix}"
+                (tmp_path / f"partial{suffix}").write_bytes(
+                    source.read_bytes())
+        assert main(["evaluate", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evaluate: ")
+        assert err.count("\n") == 1 and f"partial{missing}" in err
+
 
 class TestLint:
     def test_text_output(self, generated, capsys):

@@ -41,14 +41,6 @@ class TestBenchEnvelope:
         assert doc["metrics"] == {"speedup": 8.0}
         assert doc["cpu_count"] >= 1 and "python" in doc
 
-    def test_extra_fields_land_top_level(self):
-        # bench_fleet embeds its trend document beside the envelope so
-        # load_trend() keeps reading BENCH_fleet.json as a baseline.
-        doc = bench_envelope("fleet", metrics={"throughput": 2.0},
-                             trend={"binaries": {"total": 9}})
-        assert doc["trend"] == {"binaries": {"total": 9}}
-        assert "trend" not in doc["metrics"]
-
     def test_valid_envelope_round_trips_validation(self, tmp_path):
         doc = bench_envelope("obs", config={"repeats": 3},
                              metrics={"seconds": {"off": 1.0},
