@@ -1,14 +1,13 @@
 """Behavioral static analyses over superset candidates."""
 
-from .behavior import BehaviorAnalyzer
+from .behavior import CONVENTIONALLY_LIVE, BehaviorAnalyzer, chain_counts
 from .cfg import BasicBlock, ControlFlowGraph, build_cfg
-from .defuse import CONVENTIONALLY_LIVE, DefUseSignals, analyze_chain
 from .idioms import (PROLOGUE_THRESHOLD, is_epilogue_end,
                      likely_function_starts, padding_kind, prologue_score)
 
 __all__ = [
     "BehaviorAnalyzer", "BasicBlock", "ControlFlowGraph", "build_cfg",
-    "CONVENTIONALLY_LIVE", "DefUseSignals", "analyze_chain",
+    "CONVENTIONALLY_LIVE", "chain_counts",
     "PROLOGUE_THRESHOLD", "is_epilogue_end", "likely_function_starts",
     "padding_kind", "prologue_score",
 ]

@@ -6,15 +6,29 @@ fall-through window and combine hard structural violations (falling
 through into undecodable bytes) with soft behavioral signals (rare
 opcodes, traps mid-stream, def-use discipline) into a single additive
 score: positive means code-like, negative means data-like.
+
+Real code computes values before consuming them.  Per window we count
+**def-use pairs** (a register written earlier and read later),
+**register anomalies** (reads of registers neither conventionally live
+nor defined in the window) and **flag anomalies** (flag consumers with
+no producer earlier in the window); all are soft, since a window may
+begin mid-function.  Every window is scored at once, one array pass
+per window step over per-instruction columns.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
+from ..isa.instruction import Instruction
 from ..isa.opcodes import FlowKind
-from ..superset.superset import CHAIN_WINDOW, Superset
-from .defuse import analyze_chain
+from ..isa.operands import RegOp
+from ..isa.registers import (R8, R9, RAX, RBP, RBX, RCX, RDI, RDX, RSI, RSP,
+                             R12, R13, R14, R15)
+from ..superset.superset import CHAIN_WINDOW, ChainWindows, Superset
 
 #: Weights of the behavioral score components.  These are coarse,
 #: hand-calibrated log-odds-like contributions; the prioritized
@@ -29,35 +43,104 @@ REGISTER_ANOMALY = -0.8
 FLAG_ANOMALY = -0.4
 TERMINATED_CHAIN = 0.3
 
+#: Registers plausibly live at an arbitrary program point: arguments,
+#: stack registers, the return register, and callee-saved registers.
+CONVENTIONALLY_LIVE = frozenset({
+    RDI, RSI, RDX, RCX, R8, R9,   # System V argument registers
+    RSP, RBP,                     # stack
+    RAX,                          # return value
+    RBX, R12, R13, R14, R15,      # callee-saved
+})
 
-def _chain_score(superset: Superset, offset: int) -> float:
-    """Behavioral score of the candidate chain starting at ``offset``."""
-    chain = superset.fallthrough_chain(offset, CHAIN_WINDOW)
-    if not chain:
-        return INVALID_FALLTHROUGH
-    last = chain[-1]
-    terminated = not last.falls_through
-    total = 0.0
-    # A chain is cut by invalid bytes when it is shorter than the
-    # window, still falls through, and its next offset is inside the
-    # section but undecodable.
-    if not terminated and len(chain) < CHAIN_WINDOW:
-        nxt = last.end
-        if nxt < len(superset) and not superset.is_valid(nxt):
-            total += INVALID_FALLTHROUGH
-    traps = sum(1 for ins in chain
-                if ins.flow in (FlowKind.TRAP, FlowKind.HALT))
-    rare = sum(1 for ins in chain if ins.rare)
-    signals = analyze_chain(chain)
-    total += TRAP_IN_CHAIN * traps
-    total += RARE_INSTRUCTION * rare
-    total += DEFUSE_PAIR * signals.defuse_pairs
-    total += FLAG_PAIR * signals.flag_pairs
-    total += REGISTER_ANOMALY * signals.register_anomalies
-    total += FLAG_ANOMALY * signals.flag_anomalies
-    if terminated:
-        total += TERMINATED_CHAIN
-    return total / len(chain)
+
+@functools.cache
+def _mask(registers: frozenset[int]) -> int:
+    return sum(1 << register for register in registers)
+
+
+_LIVE = np.uint16(_mask(CONVENTIONALLY_LIVE))
+#: After a call only the return value and the frame are known-defined.
+_CALL_DEFINED = np.uint16(_mask(frozenset({RAX, RSP, RBP})))
+
+
+def _is_zeroing_idiom(instruction: Instruction) -> bool:
+    """xor r, r (or sub r, r): defines the register without reading it."""
+    if instruction.mnemonic not in ("xor", "sub"):
+        return False
+    operands = instruction.operands
+    return (len(operands) == 2
+            and isinstance(operands[0], RegOp)
+            and isinstance(operands[1], RegOp)
+            and operands[0].register.family == operands[1].register.family)
+
+
+class ChainCounts(NamedTuple):
+    """Per-root integer counts over each chain window."""
+
+    length: np.ndarray
+    traps: np.ndarray
+    rare: np.ndarray
+    defuse_pairs: np.ndarray
+    flag_pairs: np.ndarray
+    register_anomalies: np.ndarray
+    flag_anomalies: np.ndarray
+
+
+def chain_counts(windows: ChainWindows) -> ChainCounts:
+    """Def-use, flag, trap and rare counts of every window."""
+    reads = windows.attribute("reads", np.uint16, _mask)
+    mnemonics = windows.attribute("mnemonic", object)
+    for kind in np.flatnonzero((mnemonics == "xor") | (mnemonics == "sub")):
+        if _is_zeroing_idiom(windows.encodings[kind]):
+            reads[kind] = 0
+    reads = windows.column(reads)
+    writes = windows.column(windows.attribute("writes", np.uint16, _mask))
+    flows = windows.flows
+    is_call = windows.column((flows == FlowKind.CALL)
+                             | (flows == FlowKind.ICALL))
+    trap = windows.column((flows == FlowKind.TRAP) | (flows == FlowKind.HALT))
+    rare = windows.column(windows.attribute("rare", np.bool_))
+    reads_flags = windows.column(windows.attribute("reads_flags", np.bool_))
+    writes_flags = windows.column(windows.attribute("writes_flags", np.bool_))
+
+    defined = np.zeros(len(windows.roots), np.uint16)
+    flags_defined = np.zeros(len(windows.roots), np.bool_)
+    counts = ChainCounts(windows.length,
+                         *np.zeros((6, len(windows.roots)), np.int64))
+    _, traps, rares, pairs, flag_pairs, anomalies, flag_anomalies = counts
+    for step in windows.steps:
+        read = reads[step]
+        pairs += np.bitwise_count(read & defined)
+        anomalies += np.bitwise_count(read & ~(defined | _LIVE))
+        read_flags = reads_flags[step]
+        flag_pairs += read_flags & flags_defined
+        flag_anomalies += read_flags & ~flags_defined
+        flags_defined |= writes_flags[step]
+        defined = np.where(is_call[step], _CALL_DEFINED | (defined & _LIVE),
+                           defined | writes[step])
+        traps += trap[step]
+        rares += rare[step]
+    return counts
+
+
+def _window_scores(superset: Superset, windows: ChainWindows) -> np.ndarray:
+    """Behavioral score of every root's window."""
+    counts = chain_counts(windows)
+    terminated = ~windows.falls[windows.last]
+    # A chain shorter than the window that still falls through inside
+    # the section was cut by undecodable bytes.
+    cut = (~terminated & (counts.length < CHAIN_WINDOW)
+           & (windows.ends[windows.last] < len(superset)))
+    # One sum, left to right: the terms' order fixes every float bit.
+    total = (np.where(cut, INVALID_FALLTHROUGH, 0.0)
+             + TRAP_IN_CHAIN * counts.traps
+             + RARE_INSTRUCTION * counts.rare
+             + DEFUSE_PAIR * counts.defuse_pairs
+             + FLAG_PAIR * counts.flag_pairs
+             + REGISTER_ANOMALY * counts.register_anomalies
+             + FLAG_ANOMALY * counts.flag_anomalies)
+    total = np.where(terminated, total + TERMINATED_CHAIN, total)
+    return total / counts.length
 
 
 class BehaviorAnalyzer:
@@ -66,8 +149,8 @@ class BehaviorAnalyzer:
     def score_all(self, superset: Superset) -> np.ndarray:
         """Vector of behavioral scores for every offset of the section."""
         scores = np.full(len(superset), INVALID_FALLTHROUGH)
-        for offset in superset.valid_offsets:
-            scores[offset] = _chain_score(superset, offset)
+        windows = superset.windows
+        scores[windows.roots] = _window_scores(superset, windows)
         return scores
 
     def rescore(self, superset: Superset, offsets,
@@ -75,10 +158,12 @@ class BehaviorAnalyzer:
         """Recompute ``scores[o]`` in place for a subset of offsets.
 
         Behavioral scores depend only on the bounded fall-through
-        window, so incremental re-disassembly recomputes just the
-        offsets whose window touches changed bytes; each value is
-        bit-identical to a full :meth:`score_all` (same per-offset
-        path).
+        window, so incremental re-disassembly rescores just the offsets
+        whose window touches changed bytes, with the same kernel over
+        their window closure: each value is bit-identical to
+        :meth:`score_all`.
         """
-        for offset in offsets:
-            scores[offset] = _chain_score(superset, offset)
+        offsets = list(offsets)
+        scores[offsets] = INVALID_FALLTHROUGH
+        valid = [o for o in offsets if superset.is_valid(o)]
+        scores[valid] = _window_scores(superset, superset.windows_of(valid))

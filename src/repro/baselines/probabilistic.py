@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.defuse import analyze_chain
+from ..analysis.behavior import chain_counts
 from ..isa.opcodes import FlowKind
 from ..result import DisassemblyResult
 from ..superset.superset import Superset, cached_superset
@@ -39,7 +39,6 @@ DEFAULT_THRESHOLD = 0.5
 
 def probabilistic_disassembly(text: bytes, entry: int = 0, *,
                               threshold: float = DEFAULT_THRESHOLD,
-                              window: int = 6,
                               superset: Superset | None = None
                               ) -> DisassemblyResult:
     """Disassemble with hint-propagated data probabilities."""
@@ -51,6 +50,9 @@ def probabilistic_disassembly(text: bytes, entry: int = 0, *,
     p_data = np.ones(size)
     alive = [offset for offset in superset.valid_offsets
              if not dead[offset]]
+    windows = superset.windows
+    defuse_pairs = dict(zip(windows.roots.tolist(),
+                            chain_counts(windows).defuse_pairs.tolist()))
 
     # Hint collection.
     for offset in alive:
@@ -60,9 +62,7 @@ def probabilistic_disassembly(text: bytes, entry: int = 0, *,
             strength *= (1 - HINT_CONVERGENCE)
         if offset in superset.direct_call_targets:
             strength *= (1 - HINT_CALL_TARGET)
-        chain = superset.fallthrough_chain(offset, window)
-        signals = analyze_chain(chain)
-        strength *= (1 - HINT_DEFUSE) ** min(signals.defuse_pairs, 3)
+        strength *= (1 - HINT_DEFUSE) ** min(defuse_pairs[offset], 3)
         p_data[offset] = strength
     if 0 <= entry < size and not dead[entry]:
         p_data[entry] = 0.0

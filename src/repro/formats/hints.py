@@ -60,15 +60,6 @@ class FormatHints:
                 ranges.append((lo, hi))
         return tuple(ranges)
 
-    def describe(self) -> str:
-        parts = [self.format, f"base={self.image_base:#x}"]
-        if self.function_ranges:
-            parts.append(f"{len(self.function_ranges)} function ranges")
-        if self.entry_candidates:
-            parts.append(f"{len(self.entry_candidates)} entry candidates")
-        parts.extend(self.notes)
-        return ", ".join(parts)
-
 
 #: Hints for the native container, which by construction carries none.
 NO_HINTS = FormatHints(format="rprb")

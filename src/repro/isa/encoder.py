@@ -199,19 +199,14 @@ class Assembler:
     def _modrm_reg(self, reg_field: int, rm: int) -> None:
         self._emit(0xC0 | ((reg_field & 7) << 3) | (rm & 7))
 
-    def _encode_mem(self, reg_field: int, m: Mem, *,
-                    imm_after: int = 0) -> None:
-        """Emit ModRM (+SIB, +disp) for a memory operand.
-
-        ``imm_after`` is the number of immediate bytes following the
-        displacement; RIP-relative fixups are anchored past them.
-        """
+    def _encode_mem(self, reg_field: int, m: Mem) -> None:
+        """Emit ModRM (+SIB, +disp) for a memory operand."""
         reg3 = reg_field & 7
         if m.rip_label is not None:
             self._emit((reg3 << 3) | 0x05)
             pos = len(self._code)
             self._code += b"\x00" * 4
-            anchor = self.base + pos + 4 + imm_after
+            anchor = self.base + pos + 4
             self._fixups.append(
                 _Fixup(_FixupKind.RIP32, pos, m.rip_label, anchor=anchor))
             if m.disp:
@@ -323,14 +318,6 @@ class Assembler:
         self._emit(0x88 if width == 8 else 0x89)
         self._encode_mem(src, m)
 
-    def mov_mi(self, m: Mem, value: int, width: int = 32) -> None:
-        self._check_width(width)
-        self._prefix_and_rex(width, index=m.index or 0, base=m.base or 0)
-        self._emit(0xC6 if width == 8 else 0xC7)
-        size = 1 if width == 8 else (2 if width == 16 else 4)
-        self._encode_mem(0, m, imm_after=size)
-        self._imm(value, size)
-
     def movzx(self, dst: int, src: int, src_width: int,
               width: int = 32) -> None:
         if src_width not in (8, 16):
@@ -401,34 +388,11 @@ class Assembler:
             self._modrm_reg(code, dst)
             self._imm(value, 2 if width == 16 else 4)
 
-    def alu_rm(self, op: str, dst: int, m: Mem, width: int = 64) -> None:
-        code = _ALU_CODES[op]
-        self._prefix_and_rex(width, reg=dst, index=m.index or 0,
-                             base=m.base or 0,
-                             byte_regs=(dst,) if width == 8 else ())
-        self._emit((code << 3) | (0x02 if width == 8 else 0x03))
-        self._encode_mem(dst, m)
-
-    def alu_mr(self, op: str, m: Mem, src: int, width: int = 64) -> None:
-        code = _ALU_CODES[op]
-        self._prefix_and_rex(width, reg=src, index=m.index or 0,
-                             base=m.base or 0,
-                             byte_regs=(src,) if width == 8 else ())
-        self._emit((code << 3) | (0x00 if width == 8 else 0x01))
-        self._encode_mem(src, m)
-
     def test_rr(self, a: int, b: int, width: int = 64) -> None:
         self._prefix_and_rex(width, reg=b, base=a,
                              byte_regs=(a, b) if width == 8 else ())
         self._emit(0x84 if width == 8 else 0x85)
         self._modrm_reg(b, a)
-
-    def test_ri(self, dst: int, value: int, width: int = 64) -> None:
-        self._prefix_and_rex(width, base=dst,
-                             byte_regs=(dst,) if width == 8 else ())
-        self._emit(0xF6 if width == 8 else 0xF7)
-        self._modrm_reg(0, dst)
-        self._imm(value, 1 if width == 8 else (2 if width == 16 else 4))
 
     def imul_rr(self, dst: int, src: int, width: int = 64) -> None:
         self._prefix_and_rex(width, reg=dst, base=src)
@@ -480,13 +444,6 @@ class Assembler:
             self._emit(0xC0 if width == 8 else 0xC1)
             self._modrm_reg(code, dst)
             self._imm(amount, 1)
-
-    def shift_cl(self, op: str, dst: int, width: int = 64) -> None:
-        code = _SHIFT_CODES[op]
-        self._prefix_and_rex(width, base=dst,
-                             byte_regs=(dst,) if width == 8 else ())
-        self._emit(0xD2 if width == 8 else 0xD3)
-        self._modrm_reg(code, dst)
 
     def cdq(self) -> None:
         self._emit(0x99)
@@ -553,11 +510,6 @@ class Assembler:
         self._rex(0, 0, 0, reg >> 3)
         self._emit(0xFF)
         self._modrm_reg(2, reg)
-
-    def call_m(self, m: Mem) -> None:
-        self._prefix_and_rex(32, reg=2, index=m.index or 0, base=m.base or 0)
-        self._emit(0xFF)
-        self._encode_mem(2, m)
 
     def jmp_r(self, reg: int) -> None:
         self._rex(0, 0, 0, reg >> 3)

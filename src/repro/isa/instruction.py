@@ -63,11 +63,6 @@ class Instruction:
         return self.flow in (FlowKind.JUMP, FlowKind.CJUMP, FlowKind.CALL)
 
     @property
-    def is_branch(self) -> bool:
-        return self.flow in (FlowKind.JUMP, FlowKind.CJUMP, FlowKind.CALL,
-                             FlowKind.IJUMP, FlowKind.ICALL, FlowKind.RET)
-
-    @property
     def is_nop(self) -> bool:
         return self.mnemonic == "nop"
 

@@ -94,18 +94,6 @@ class JobRequest:
         return item
 
 
-@dataclass
-class JobResult:
-    """What a worker returns for one job."""
-
-    id: str
-    ok: bool
-    #: On success: the payload JSON string (``DisassemblyResult.to_json``
-    #: or ``LintReport.to_json``).  On failure: an error message.
-    payload: str
-    error_kind: str = ""
-
-
 # ----------------------------------------------------------------------
 # Config handling
 # ----------------------------------------------------------------------

@@ -19,6 +19,9 @@ import json
 import math
 from collections import Counter
 from collections.abc import Iterable
+from itertools import repeat
+
+import numpy as np
 
 from ..isa.instruction import Instruction
 from ..isa.operands import ImmOp, MemOp, RegOp, RelOp
@@ -61,18 +64,12 @@ class NgramModel:
         self.bigram_context: Counter[str] = Counter()
         self.trigram_context: Counter[tuple[str, str]] = Counter()
         self.total = 0
-        # (token, context) -> log-prob memo.  Scoring a section queries
-        # the same few thousand pairs hundreds of thousands of times
-        # (overlapping fall-through chains), so this is a hot cache; it
-        # is invalidated whenever counts change.
-        self._log_prob_cache: dict[tuple[str, tuple[str, str]], float] = {}
 
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
 
     def train(self, sequences: Iterable[list[str]]) -> None:
-        self._log_prob_cache.clear()
         for sequence in sequences:
             padded = [START, START] + list(sequence) + [END]
             for i in range(2, len(padded)):
@@ -93,25 +90,33 @@ class NgramModel:
     # ------------------------------------------------------------------
 
     def log_prob(self, token: str, context: tuple[str, str]) -> float:
-        """log P(token | context) under the interpolated model (memoized)."""
-        key = (token, context)
-        cached = self._log_prob_cache.get(key)
-        if cached is not None:
-            return cached
+        """log P(token | context) under the interpolated model."""
+        ids = np.arange(3)[:, None]
+        return float(self.log_probs([*context, token], *ids)[0])
+
+    def log_probs(self, names: list[str], t1: np.ndarray, t2: np.ndarray,
+                  token: np.ndarray) -> np.ndarray:
+        """log P(``names[token]`` | ``names[t1]``, ``names[t2]``) over
+        arrays of ids into ``names``, computed once per distinct triple
+        (a fixed float order and ``math.log``: batching never moves a bit).
+        """
+        base = len(names)
+        unique, inverse = np.unique((t1 * base + t2) * base + token,
+                                    return_inverse=True)
+        t1, t2, token = unique // base**2, unique // base % base, unique % base
         w3, w2, w1, w0 = self.weights
-        t1, t2 = context
-        p = w0 / self.vocabulary_size
+        p = np.full(len(unique), w0 / self.vocabulary_size)
         if self.total:
-            p += w1 * self.unigrams.get(token, 0) / self.total
-        c2 = self.bigram_context.get(t2, 0)
-        if c2:
-            p += w2 * self.bigrams.get((t2, token), 0) / c2
-        c3 = self.trigram_context.get((t1, t2), 0)
-        if c3:
-            p += w3 * self.trigrams.get((t1, t2, token), 0) / c3
-        result = math.log(p)
-        self._log_prob_cache[key] = result
-        return result
+            p += w1 * _counts(self.unigrams, names, token) / self.total
+        c2 = _counts(self.bigram_context, names, t2)
+        seen = c2 > 0
+        p[seen] += w2 * _counts(self.bigrams, names, t2[seen],
+                                token[seen]) / c2[seen]
+        c3 = _counts(self.trigram_context, names, t1, t2)
+        seen = c3 > 0
+        p[seen] += w3 * _counts(self.trigrams, names, t1[seen], t2[seen],
+                                token[seen]) / c3[seen]
+        return np.array(list(map(math.log, p.tolist())))[inverse]
 
     def score_sequence(self, tokens: list[str]) -> float:
         """Total log-probability of a token sequence (without END)."""
@@ -155,3 +160,22 @@ class NgramModel:
             model.trigrams[(a, b, c)] = count
             model.trigram_context[(a, b)] += count
         return model
+
+
+def _counts(counts: Counter, names: list[str], *ids: np.ndarray
+            ) -> np.ndarray:
+    """``counts[key]`` per element, ``key`` the name (or the tuple of
+    names) of the ids, looked up once per distinct key."""
+    base = len(names)
+    keys = ids[0]
+    for more in ids[1:]:
+        keys = keys * base + more
+    unique, inverse = np.unique(keys, return_inverse=True)
+    named = np.array(names, dtype=object)
+    columns = []
+    for _ in ids:
+        unique, digit = np.divmod(unique, base)
+        columns.append(named[digit].tolist())
+    keyed = zip(*reversed(columns)) if len(ids) > 1 else columns[0]
+    return np.array(list(map(counts.get, keyed, repeat(0))),
+                    dtype=np.int64)[inverse]

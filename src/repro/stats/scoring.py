@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..superset.superset import CHAIN_WINDOW, Superset
+from ..superset.superset import ChainWindows, Superset
 from .datamodel import AsciiRun, DataByteModel, find_ascii_runs
 from .ngram import NgramModel, START, token_of
 
@@ -40,6 +40,26 @@ def terminated_ascii_runs(text: bytes) -> tuple[AsciiRun, ...]:
     return tuple(run for run in find_ascii_runs(text) if run.terminated)
 
 
+#: Floats gathered per chunk when summing spans (2 MiB of float64).
+_SPAN_CHUNK = 1 << 18
+
+
+def _span_sums(values: np.ndarray, starts: np.ndarray,
+               lengths: np.ndarray) -> np.ndarray:
+    """``values[s:s + n].sum()`` for every pair ``(s, n)``, bit for bit:
+    spans of one length are rows of a 2-D gather, and a row sum runs the
+    1-D slice's pairwise summation."""
+    sums = np.empty(len(starts))
+    for length in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == length)
+        rows = max(1, _SPAN_CHUNK // length)
+        for i in range(0, len(group), rows):
+            chunk = group[i:i + rows]
+            sums[chunk] = values[starts[chunk, None]
+                                 + np.arange(length)].sum(axis=1)
+    return sums
+
+
 @dataclass
 class StatisticalScorer:
     """Combines the code n-gram model and the data byte model."""
@@ -48,23 +68,10 @@ class StatisticalScorer:
     data_model: DataByteModel
 
     def score_all(self, superset: Superset) -> np.ndarray:
-        """Vector of per-offset scores for a whole section.
-
-        Chains overlap heavily, so token and single-step scores are
-        computed once per offset and chains walk precomputed arrays.
-        """
-        size = len(superset)
-        tokens: list[str | None] = [None] * size
-        for offset in superset.valid_offsets:
-            tokens[offset] = token_of(superset.instructions[offset])
-
-        data_lp_byte = self._data_lp_bytes(superset.text)
-        ascii_penalty = self._ascii_penalty(superset.text)
-
-        scores = np.full(size, UNDECODABLE_SCORE)
-        for offset in superset.valid_offsets:
-            scores[offset] = self._chain_score(superset, offset, tokens,
-                                               data_lp_byte, ascii_penalty)
+        """Vector of per-offset scores for a whole section."""
+        scores = np.full(len(superset), UNDECODABLE_SCORE)
+        windows = superset.windows
+        scores[windows.roots] = self._window_scores(superset.text, windows)
         return scores
 
     def rescore(self, superset: Superset, offsets, scores: np.ndarray
@@ -74,40 +81,57 @@ class StatisticalScorer:
         Incremental re-disassembly calls this for the offsets whose
         score support (decode window, fall-through chain, ASCII-run
         membership) touches changed bytes; every value written is
-        bit-identical to what :meth:`score_all` would produce on the
-        same superset, because both run the same per-offset body and
-        the data-model term is summed per chain span (a span of
-        unchanged bytes sums to the identical float either way).
+        bit-identical to :meth:`score_all`: the same kernel runs over
+        the offsets' window closure, and the data-model term is summed
+        per chain span.
         """
-        data_lp_byte = self._data_lp_bytes(superset.text)
-        ascii_penalty = self._ascii_penalty(superset.text)
-        for offset in offsets:
-            if superset.is_valid(offset):
-                scores[offset] = self._chain_score(superset, offset, None,
-                                                   data_lp_byte,
-                                                   ascii_penalty)
-            else:
-                scores[offset] = UNDECODABLE_SCORE
+        offsets = list(offsets)
+        scores[offsets] = UNDECODABLE_SCORE
+        valid = [o for o in offsets if superset.is_valid(o)]
+        scores[valid] = self._window_scores(superset.text,
+                                            superset.windows_of(valid))
 
-    def _chain_score(self, superset: Superset, offset: int,
-                     tokens: list | None, data_lp_byte: np.ndarray,
-                     ascii_penalty: np.ndarray) -> float:
-        """The shared per-offset scoring body (valid offsets only)."""
-        chain = superset.fallthrough_chain(offset, CHAIN_WINDOW)
-        context = (START, START)
-        code_lp = 0.0
-        for ins in chain:
-            token = tokens[ins.offset] if tokens is not None \
-                else token_of(ins)
-            code_lp += self.code_model.log_prob(token, context)
-            context = (context[1], token)
-        span = chain[-1].end - offset
-        data_lp = data_lp_byte[offset:offset + span].sum()
-        return (code_lp - data_lp) / span - ascii_penalty[offset]
+    def _window_scores(self, text: bytes, windows: ChainWindows
+                       ) -> np.ndarray:
+        """Per-byte code-vs-data log-likelihood ratio of every window."""
+        roots = windows.roots
+        span = windows.ends[windows.last] - roots
+        code_lp = self._code_log_probs(windows)
+        data_lp = _span_sums(self._data_lp_bytes(text), roots, span)
+        return (code_lp - data_lp) / span - self._ascii_penalty(text)[roots]
+
+    def _code_log_probs(self, windows: ChainWindows) -> np.ndarray:
+        """n-gram log-probability of every window's token sequence.
+
+        The context restarts at ``(START, START)`` at each root, so per
+        position ``p`` three terms cover every window: ``p`` after two
+        STARTs, ``succ p`` after ``(START, p)`` and ``succ² p`` after
+        ``(p, succ p)``.  They are summed along the window in the order
+        the terms occur; a term past a chain's end is 0.0.
+        """
+        vocabulary: dict[str, int] = {}
+        tokens = np.array([vocabulary.setdefault(token_of(ins),
+                                                 len(vocabulary))
+                           for ins in windows.encodings] + [-1])[windows.kinds]
+        names = [*vocabulary, START]
+        start = np.full_like(tokens, len(vocabulary))
+        after = tokens[windows.succ]
+        first, second, third = (np.zeros(len(tokens)) for _ in range(3))
+        for term, context, token in ((first, (start, start), tokens),
+                                     (second, (start, tokens), after),
+                                     (third, (tokens, after),
+                                      after[windows.succ])):
+            known = token >= 0      # then its context ids are known too
+            term[known] = self.code_model.log_probs(
+                names, context[0][known], context[1][known], token[known])
+        s = windows.steps
+        return (first[s[0]] + second[s[0]] + third[s[0]] + third[s[1]]
+                + third[s[2]] + third[s[3]])
 
     def _data_lp_bytes(self, text: bytes) -> np.ndarray:
-        return np.array(
-            [self.data_model.log_prob_byte(b) for b in text])
+        table = np.array([self.data_model.log_prob_byte(b)
+                          for b in range(256)])
+        return table[np.frombuffer(text, np.uint8)]
 
     @staticmethod
     def _ascii_penalty(text: bytes) -> np.ndarray:

@@ -14,11 +14,14 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
+from operator import attrgetter
+
+import numpy as np
 
 from ..isa import decoder as _decoder
 from ..isa.decoder import try_decode
 from ..isa.instruction import Instruction
-from ..isa.opcodes import FlowKind
+from ..isa.opcodes import NO_FALLTHROUGH, FlowKind
 from ..isa.operands import MemOp, RelOp
 from ..isa.tables import MAX_INSTRUCTION_LENGTH
 from ..obs.metrics import REGISTRY
@@ -37,7 +40,7 @@ _RUN_FAST_WINDOW = 2 * MAX_INSTRUCTION_LENGTH + 2
 #: the per-offset sweep free of any run bookkeeping.
 _RUN_RE = re.compile(rb"(.)\1{%d,}" % _RUN_FAST_WINDOW, re.DOTALL)
 
-#: Instructions in the :meth:`Superset.fallthrough_chain` window that
+#: Instructions in the fall-through window (:class:`ChainWindows`) that
 #: statistical and behavioral scoring examine per candidate.
 CHAIN_WINDOW = 6
 
@@ -187,40 +190,88 @@ class Superset:
                 counts[target] = counts.get(target, 0) + 1
         return counts
 
-    @cached_property
-    def _fallthrough_next(self) -> list[int]:
-        """Per-offset fall-through successor (-1 where execution stops).
-
-        Chain walks are the hottest inner loop of both scoring passes;
-        precomputing the next-offset array once removes the per-step
-        property lookups (``falls_through`` tests enum membership) that
-        otherwise dominate.
-        """
-        nxt = [-1] * len(self.instructions)
-        for offset, ins in enumerate(self.instructions):
-            if ins is not None and ins.falls_through:
-                nxt[offset] = ins.end
-        return nxt
-
     def fallthrough_chain(self, offset: int, limit: int) -> list[Instruction]:
         """Up to ``limit`` candidates following only fall-through edges.
 
         The chain stops at non-fall-through flow, at undecodable bytes,
-        or at the end of the section.  Used by behavioral and statistical
-        scoring, both of which examine a bounded execution window.
+        or at the end of the section.
         """
         chain: list[Instruction] = []
-        instructions = self.instructions
-        nxt = self._fallthrough_next
-        size = len(instructions)
-        current = offset
-        while 0 <= current < size and len(chain) < limit:
-            ins = instructions[current]
-            if ins is None:
-                break
+        ins = self.at(offset)
+        while ins is not None and len(chain) < limit:
             chain.append(ins)
-            current = nxt[current]
+            ins = self.at(ins.end) if ins.falls_through else None
         return chain
+
+    @cached_property
+    def windows(self) -> ChainWindows:
+        """The chain windows of every valid offset (built once)."""
+        return ChainWindows(self, self.valid_offsets, self.valid_offsets)
+
+    def windows_of(self, roots: list[int]) -> ChainWindows:
+        """The chain windows of ``roots`` alone (an undecodable root
+        gets an empty one), read from their window closure only: at
+        most :data:`CHAIN_WINDOW` instructions per root."""
+        reached = {ins.offset for root in roots
+                   for ins in self.fallthrough_chain(root, CHAIN_WINDOW)}
+        return ChainWindows(self, sorted(reached), roots)
+
+
+class ChainWindows:
+    """The fall-through windows of some roots, as index arrays.
+
+    A reached candidate's *position* is its rank in ``offsets``;
+    position ``m = len(offsets)`` is the chain-end sentinel.  ``succ``
+    maps a position to its fall-through successor (``m`` where the
+    chain stops) and ``steps[k, i]`` is the k-th window instruction of
+    root ``i``, so a window term is at most :data:`CHAIN_WINDOW` gathers
+    of per-position columns whose sentinel row is neutral.  Decoding is
+    a pure function of the encoded bytes, so instruction properties are
+    read once per distinct encoding and spread through ``kinds``.
+    """
+
+    def __init__(self, superset: Superset, offsets: list[int],
+                 roots: list[int]) -> None:
+        reached = list(map(superset.instructions.__getitem__, offsets))
+        raws = list(map(attrgetter("raw"), reached))
+        encoding = dict(zip(raws, reached))
+        index = dict(zip(encoding, range(len(encoding))))
+        self.encodings = list(encoding.values())
+        self.kinds = np.append(np.fromiter(map(index.__getitem__, raws),
+                                           np.int64, len(raws)), len(index))
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.roots = (self.offsets if roots is offsets
+                      else np.asarray(roots, dtype=np.int64))
+        m = len(offsets)
+        # An instruction's length is the size of its encoding.
+        self.ends = self.column(np.fromiter(map(len, encoding), np.int64,
+                                            len(encoding)))
+        self.ends[:m] += self.offsets
+        self.flows = self.attribute("flow", object)
+        self.falls = self.column(~np.logical_or.reduce(
+            [self.flows == kind for kind in NO_FALLTHROUGH]))
+        position = np.full(len(superset) + 1, m)
+        position[self.offsets] = np.arange(m)
+        self.succ = np.where(self.falls, position[self.ends], m)
+        steps = [position[self.roots]]
+        for _ in range(1, CHAIN_WINDOW):
+            steps.append(self.succ[steps[-1]])
+        self.steps = np.array(steps)
+        #: Instructions in each root's window, and the last one's position.
+        self.length = (self.steps < m).sum(axis=0)
+        self.last = self.steps[self.length - 1, np.arange(len(roots))]
+
+    def attribute(self, name: str, dtype, convert=None) -> np.ndarray:
+        """Attribute ``name`` (through ``convert``) of every encoding."""
+        values = map(attrgetter(name), self.encodings)
+        if convert is not None:
+            values = map(convert, values)
+        return np.fromiter(values, dtype, len(self.encodings))
+
+    def column(self, values: np.ndarray) -> np.ndarray:
+        """Per-position column of per-encoding ``values``, with a zero
+        sentinel row."""
+        return np.append(values, values.dtype.type(0))[self.kinds]
 
 
 def no_overlap(starts: set[int], superset: Superset) -> bool:

@@ -255,19 +255,6 @@ def generate_corpus(seeds: tuple[int, ...] = (0, 1, 2),
     return cases
 
 
-def export_corpus(directory, cases: list[TestCase] | None = None, *,
-                  fmt: str = "rprb") -> list[tuple]:
-    """Write a corpus to disk in the chosen container format.
-
-    ``fmt="elf"`` writes each case as a real ELF64 executable (used by
-    the formats smoke job and :mod:`benchmarks.bench_formats`);
-    ``fmt="rprb"`` writes native ``.bin`` containers.  Returns the
-    (binary path, ground-truth path) pair per case.
-    """
-    cases = cases if cases is not None else generate_corpus()
-    return [case.save(directory, fmt=fmt) for case in cases]
-
-
 def density_style(base: CompilerStyle, density: float) -> CompilerStyle:
     """Scale a style's embedded-data knobs by ``density`` in [0, 1].
 

@@ -1,61 +1,60 @@
-"""Tests for register def-use chain analysis."""
+"""Tests for the def-use counts of the behavior kernel."""
 
+from repro.analysis.behavior import (CONVENTIONALLY_LIVE, _is_zeroing_idiom,
+                                     chain_counts)
 from repro.isa import Assembler, decode
 from repro.isa.registers import R10, R11, R13, RAX, RCX, RDI
-from repro.analysis.defuse import (CONVENTIONALLY_LIVE, analyze_chain,
-                                   _is_zeroing_idiom)
+from repro.superset import Superset
 
 
-def chain_of(fn) -> list:
+def assembled(fn) -> bytes:
     a = Assembler()
     fn(a)
-    raw = a.finish()
-    chain = []
-    offset = 0
-    while offset < len(raw):
-        ins = decode(raw, offset)
-        chain.append(ins)
-        offset = ins.end
-    return chain
+    return a.finish()
+
+
+def counts_at(raw: bytes, offset: int = 0):
+    """The kernel's counts over the chain window starting at ``offset``."""
+    counts = chain_counts(Superset.build(raw).windows_of([offset]))
+    return counts._replace(**{field: int(values[0]) for field, values
+                              in counts._asdict().items()})
 
 
 class TestDefUsePairs:
     def test_write_then_read_is_a_pair(self):
-        chain = chain_of(lambda a: (a.mov_ri(R10, 5, width=32),
-                                    a.alu_rr("add", RAX, R10)))
-        signals = analyze_chain(chain)
+        signals = counts_at(assembled(lambda a: (a.mov_ri(R10, 5, width=32),
+                                                 a.alu_rr("add", RAX, R10))))
         assert signals.defuse_pairs >= 1
         assert signals.register_anomalies == 0
 
     def test_read_of_unconventional_register_is_anomaly(self):
-        chain = chain_of(lambda a: a.alu_rr("add", RAX, R10))
-        signals = analyze_chain(chain)
+        signals = counts_at(assembled(lambda a: a.alu_rr("add", RAX, R10)))
         assert signals.register_anomalies >= 1
 
     def test_argument_registers_are_not_anomalies(self):
-        chain = chain_of(lambda a: a.alu_rr("add", RAX, RDI))
-        assert analyze_chain(chain).register_anomalies == 0
+        raw = assembled(lambda a: a.alu_rr("add", RAX, RDI))
+        assert counts_at(raw).register_anomalies == 0
 
     def test_callee_saved_reads_allowed(self):
         assert R13 in CONVENTIONALLY_LIVE
-        chain = chain_of(lambda a: a.mov_rr(RAX, R13))
-        assert analyze_chain(chain).register_anomalies == 0
+        raw = assembled(lambda a: a.mov_rr(RAX, R13))
+        assert counts_at(raw).register_anomalies == 0
 
 
 class TestZeroingIdiom:
     def test_xor_self_defines_without_reading(self):
-        chain = chain_of(lambda a: (a.alu_rr("xor", R11, R11, width=32),
-                                    a.alu_rr("add", RAX, R11)))
-        signals = analyze_chain(chain)
+        signals = counts_at(assembled(
+            lambda a: (a.alu_rr("xor", R11, R11, width=32),
+                       a.alu_rr("add", RAX, R11))))
         assert signals.register_anomalies == 0
         assert signals.defuse_pairs >= 1
 
     def test_xor_with_other_register_is_not_idiom(self):
-        ins = chain_of(lambda a: a.alu_rr("xor", RAX, RCX))[0]
+        ins = decode(assembled(lambda a: a.alu_rr("xor", RAX, RCX)), 0)
         assert not _is_zeroing_idiom(ins)
 
     def test_sub_self_is_idiom(self):
-        ins = chain_of(lambda a: a.alu_rr("sub", RAX, RAX))[0]
+        ins = decode(assembled(lambda a: a.alu_rr("sub", RAX, RAX)), 0)
         assert _is_zeroing_idiom(ins)
 
 
@@ -65,19 +64,17 @@ class TestFlags:
         a.alu_rr("cmp", RAX, RCX)
         a.jcc("e", "x")
         a.bind("x")
-        raw = a.finish()
-        chain = [decode(raw, 0), decode(raw, 3)]
-        signals = analyze_chain(chain)
+        signals = counts_at(a.finish())
+        assert signals.length == 2
         assert signals.flag_pairs == 1
         assert signals.flag_anomalies == 0
 
     def test_jcc_without_producer_is_anomaly(self):
-        chain = chain_of(lambda a: (a.mov_rr(RAX, RCX),))
         a = Assembler()
+        a.mov_rr(RAX, RCX)
         a.jcc("e", "x")
         a.bind("x")
-        jcc = decode(a.finish(), 0)
-        signals = analyze_chain(chain + [jcc])
+        signals = counts_at(a.finish())
         assert signals.flag_anomalies == 1
 
 
@@ -88,14 +85,8 @@ class TestCalls:
         a.call("f")
         a.alu_rr("add", RAX, R10)     # r10 no longer known-defined
         a.bind("f")
-        raw = a.finish()
-        chain = []
-        offset = 0
-        for _ in range(3):
-            ins = decode(raw, offset)
-            chain.append(ins)
-            offset = ins.end
-        signals = analyze_chain(chain)
+        signals = counts_at(a.finish())
+        assert signals.length == 3
         # Reading r10 after the call is an anomaly again (r10 is neither
         # conventionally live nor defined post-call).
         assert signals.register_anomalies >= 1
@@ -105,15 +96,14 @@ class TestCalls:
         a.call("f")
         a.mov_rr(RCX, RAX)
         a.bind("f")
-        raw = a.finish()
-        chain = [decode(raw, 0), decode(raw, 5)]
-        signals = analyze_chain(chain)
+        signals = counts_at(a.finish())
+        assert signals.length == 2
         assert signals.defuse_pairs >= 1
 
 
 class TestEmptyChain:
     def test_empty_chain(self):
-        signals = analyze_chain([])
-        assert signals.instructions == 0
+        signals = counts_at(b"\x06")     # undecodable: no window at all
+        assert signals.length == 0
         assert signals.defuse_pairs == 0
         assert signals.register_anomalies == signals.flag_anomalies == 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import Disassembler, FactBase, disassemble_incremental
 from repro.core.engine import diff_spans
+from repro.superset.superset import CHAIN_WINDOW, ChainWindows
 from repro.synth import BinarySpec, GCC_LIKE, MSVC_LIKE, generate_binary
 
 
@@ -109,6 +110,26 @@ class TestStructuredCases:
         # One decode window back plus the changed byte.
         assert stats.redecoded <= 32
         assert stats.redecoded < stats.total
+
+    def test_rescore_builds_columns_over_the_window_closure(
+            self, snapshot, small_case, monkeypatch):
+        """A one-byte patch reads at most CHAIN_WINDOW instructions per
+        rescored offset into the scorers' columns, never the section."""
+        build = ChainWindows.__init__
+        reads = []
+
+        def counting(self, superset, offsets, roots):
+            reads.append(len(offsets))
+            build(self, superset, offsets, roots)
+
+        monkeypatch.setattr(ChainWindows, "__init__", counting)
+        disassembler, base = snapshot
+        target = patched(small_case, {100: 0xC3})
+        _, stats = disassemble_incremental(disassembler, base, target)
+        assert len(reads) == 2
+        assert sum(reads) <= CHAIN_WINDOW * (stats.behavior_rescored
+                                             + stats.stat_rescored)
+        assert max(reads) < len(base.superset.valid_offsets) / 4
 
     def test_grown_text_is_incremental(self, snapshot, small_case):
         """Rewrite round-trips append a code appendix; the extension is

@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa import decode
 from repro.stats.ngram import NgramModel, START, token_of
+
+from .chain_oracle import log_prob as oracle_log_prob
 
 
 class TestTokenization:
@@ -120,19 +123,18 @@ class TestOnRealCode:
         assert mean(code_scores) > mean(data_scores) + 1.0
 
 
-class TestMemoization:
-    def test_log_prob_is_cached(self):
+class TestBatchedLogProbs:
+    @pytest.mark.parametrize("trained", [True, False])
+    def test_log_probs_equal_the_scalar_formula(self, trained):
         model = NgramModel()
-        model.train([["a", "b", "c"]])
-        first = model.log_prob("b", (START, "a"))
-        assert model._log_prob_cache[("b", (START, "a"))] == first
-        assert model.log_prob("b", (START, "a")) == first
-
-    def test_training_invalidates_cache(self):
-        model = NgramModel()
-        model.train([["a", "b"]])
-        before = model.log_prob("b", (START, "a"))
-        model.train([["a", "c"], ["a", "c"]])
-        assert not model._log_prob_cache
-        after = model.log_prob("b", (START, "a"))
-        assert after < before    # "b" after "a" is now relatively rarer
+        if trained:
+            model.train([["a", "b", "c"]] * 5 + [["c", "a"], ["b"]])
+        names = ["a", "b", "c", "zzz", START]
+        ids = np.array([(t1, t2, t3) for t1 in range(5) for t2 in range(5)
+                        for t3 in range(4)] * 2)
+        batched = model.log_probs(names, ids[:, 0], ids[:, 1], ids[:, 2])
+        scalar = [oracle_log_prob(model, names[t3], (names[t1], names[t2]))
+                  for t1, t2, t3 in ids.tolist()]
+        assert batched.tolist() == scalar
+        assert [model.log_prob(names[t3], (names[t1], names[t2]))
+                for t1, t2, t3 in ids.tolist()] == scalar
