@@ -27,7 +27,8 @@ def compute_returning(superset: Superset, targets: set[int], *,
                       resolved_jumps: dict[int, tuple[int, ...]]
                       | None = None,
                       resolve_dispatch=None,
-                      max_rounds: int = 50) -> dict[int, bool]:
+                      max_rounds: int = 50,
+                      walks: dict | None = None) -> dict[int, bool]:
     """For each target entry, True when some path reaches a return.
 
     ``resolved_jumps`` maps indirect-jump dispatch offsets to their
@@ -41,16 +42,29 @@ def compute_returning(superset: Superset, targets: set[int], *,
     the cycle stay returning (never losing real code), while mutually
     recursive panic helpers still converge to noreturn (each one's
     paths die regardless of the other's assumed verdict).
+
+    A walk depends only on its entry and the ``returning`` and
+    ``resolved_jumps`` entries it looks up (misses too), so ``walks``
+    (share one dict across calls on a superset) memoizes each verdict
+    with its lookups, reused while every lookup gives the same answer.
     """
     resolved_jumps = resolved_jumps or {}
+    walks = {} if walks is None else walks
     returning: dict[int, bool] = {target: True for target in targets}
     for _ in range(max_rounds):
         changed = False
         for target in targets:
             if not returning[target]:
                 continue
-            if not _reaches_return(superset, target, returning,
-                                   resolved_jumps, resolve_dispatch):
+            memo = walks.get(target)
+            if memo is None or not all(
+                    (resolved_jumps if jump else returning).get(key) == answer
+                    for jump, key, answer in memo[1]):
+                lookups: list = []
+                memo = walks[target] = (_reaches_return(
+                    superset, target, returning, resolved_jumps,
+                    resolve_dispatch, lookups), lookups)
+            if not memo[0]:
                 returning[target] = False
                 changed = True
         if not changed:
@@ -61,10 +75,11 @@ def compute_returning(superset: Superset, targets: set[int], *,
 def _reaches_return(superset: Superset, entry: int,
                     returning: dict[int, bool],
                     resolved_jumps: dict[int, tuple[int, ...]],
-                    resolve_dispatch=None) -> bool:
+                    resolve_dispatch, lookups: list) -> bool:
     """BFS over superset candidates from ``entry``, looking for a way
     out: a ``ret``, a tail jump out of the section, or any flow the
-    analysis cannot follow."""
+    analysis cannot follow.  ``lookups`` collects ``(jump, key, answer)``
+    per lookup of ``resolved_jumps`` (jump) or ``returning``."""
     seen: set[int] = set()
     stack = [entry]
     while stack:
@@ -83,6 +98,7 @@ def _reaches_return(superset: Superset, entry: int,
             continue               # dead end on this path
         if flow is FlowKind.IJUMP:
             case_targets = resolved_jumps.get(offset)
+            lookups.append((True, offset, case_targets))
             if case_targets is None and resolve_dispatch is not None:
                 case_targets = resolve_dispatch(offset)
             if case_targets is None:
@@ -95,9 +111,11 @@ def _reaches_return(superset: Superset, entry: int,
                 return True        # jump out of section: assume ok
             if target == entry:
                 continue           # self tail call proves nothing new
-            if target in returning:
+            verdict = returning.get(target)
+            lookups.append((False, target, verdict))
+            if verdict is not None:
                 # Tail call to an analyzed function.
-                if returning[target]:
+                if verdict:
                     return True
                 continue
             stack.append(target)
@@ -110,11 +128,12 @@ def _reaches_return(superset: Superset, entry: int,
             continue
         if flow is FlowKind.CALL:
             target = instruction.branch_target
-            callee_returns = True
-            if target is not None and target in returning:
-                callee_returns = returning[target]
-            if callee_returns:
-                stack.append(instruction.end)
+            if target is not None:
+                verdict = returning.get(target)
+                lookups.append((False, target, verdict))
+                if verdict is False:
+                    continue
+            stack.append(instruction.end)
             continue
         if flow is FlowKind.ICALL:
             stack.append(instruction.end)

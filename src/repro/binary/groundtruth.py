@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import dataclass, field
 
 
@@ -56,7 +57,7 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         if self.labels is None:
-            self.labels = bytearray([ByteKind.PADDING] * self.size)
+            self.labels = bytearray(bytes([ByteKind.PADDING]) * self.size)
         if len(self.labels) != self.size:
             raise ValueError("label array size mismatch")
 
@@ -65,17 +66,20 @@ class GroundTruth:
     # ------------------------------------------------------------------
 
     def mark_instruction(self, offset: int, length: int) -> None:
-        self.labels[offset] = ByteKind.INSN_START
-        for i in range(offset + 1, offset + length):
-            self.labels[i] = ByteKind.INSN_INTERIOR
+        self._fill(offset, offset + length, ByteKind.INSN_INTERIOR)
+        self._fill(offset, offset + 1, ByteKind.INSN_START)
 
     def mark_data(self, start: int, end: int) -> None:
-        for i in range(start, end):
-            self.labels[i] = ByteKind.DATA
+        self._fill(start, end, ByteKind.DATA)
 
     def mark_padding(self, start: int, end: int) -> None:
-        for i in range(start, end):
-            self.labels[i] = ByteKind.PADDING
+        self._fill(start, end, ByteKind.PADDING)
+
+    def _fill(self, start: int, end: int, kind: ByteKind) -> None:
+        """Label [start, end), clamped to the section."""
+        start, end = max(start, 0), min(end, self.size)
+        if start < end:
+            self.labels[start:end] = bytes([kind]) * (end - start)
 
     def add_function(self, name: str, entry: int, end: int) -> None:
         self.functions.append(FunctionInfo(name, entry, end))
@@ -90,21 +94,21 @@ class GroundTruth:
 
     @property
     def instruction_starts(self) -> set[int]:
-        return {i for i, kind in enumerate(self.labels)
-                if kind == ByteKind.INSN_START}
+        return {m.start() for m in re.finditer(
+            re.escape(bytes([ByteKind.INSN_START])), self.labels)}
 
     @property
     def code_bytes(self) -> int:
-        return sum(1 for k in self.labels
-                   if k in (ByteKind.INSN_START, ByteKind.INSN_INTERIOR))
+        return self.labels.count(ByteKind.INSN_START) + \
+            self.labels.count(ByteKind.INSN_INTERIOR)
 
     @property
     def data_bytes(self) -> int:
-        return sum(1 for k in self.labels if k == ByteKind.DATA)
+        return self.labels.count(ByteKind.DATA)
 
     @property
     def padding_bytes(self) -> int:
-        return sum(1 for k in self.labels if k == ByteKind.PADDING)
+        return self.labels.count(ByteKind.PADDING)
 
     @property
     def function_entries(self) -> set[int]:
@@ -125,17 +129,8 @@ class GroundTruth:
         return self._runs(ByteKind.PADDING)
 
     def _runs(self, kind: ByteKind) -> list[tuple[int, int]]:
-        runs = []
-        start = None
-        for i, label in enumerate(self.labels):
-            if label == kind and start is None:
-                start = i
-            elif label != kind and start is not None:
-                runs.append((start, i))
-                start = None
-        if start is not None:
-            runs.append((start, self.size))
-        return runs
+        return [m.span() for m in re.finditer(
+            re.escape(bytes([kind])) + b"+", self.labels)]
 
     # ------------------------------------------------------------------
     # Serialization (JSON sidecar, kept separate from the binary)

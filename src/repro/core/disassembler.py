@@ -190,8 +190,9 @@ class Disassembler:
                   entry: int) -> DisassemblyResult:
         """Build a :class:`DisassemblyResult` from the engine's state."""
         state = engine.state
+        starts = state.instruction_starts()
         instructions = {offset: superset.at(offset).length
-                        for offset in state.instruction_starts()}
+                        for offset in starts}
         # Resolved pointer tables point at functions by construction;
         # statistically detected 8-byte tables may be jump *or* pointer
         # tables, so their targets must additionally look like openings.
@@ -203,7 +204,7 @@ class Disassembler:
             if table.entry_size == 8
             and prologue_score(superset, t) >= PROLOGUE_THRESHOLD)
         functions = identify_functions(
-            superset, state, entry,
+            superset, starts, entry,
             pointer_table_targets=pointer_targets)
         return DisassemblyResult(
             tool="repro",

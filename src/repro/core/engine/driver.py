@@ -181,8 +181,8 @@ class FactEngine:
 
         Returning-ness verdicts must not depend on how far tracing has
         progressed, so the backward dataflow here accepts any decodable
-        predecessor (not just confirmed ones).  Results feed the
-        noreturn analysis, never the classification state.
+        predecessor, confirmed or not.  Results feed the noreturn
+        analysis, never the classification state.
         """
         if not self.config.use_table_resolution:
             return None
@@ -192,12 +192,9 @@ class FactEngine:
         instruction = self.superset.at(offset)
         targets = None
         if instruction is not None:
-            def permissive(candidate: int) -> bool:
-                return (self.state.is_code_start(candidate)
-                        or self.superset.is_valid(candidate))
-
             table = resolve_indirect_jump(self.superset, self.image,
-                                          permissive, instruction)
+                                          self.superset.is_valid,
+                                          instruction)
             if table is not None:
                 targets = table.targets
         cache[offset] = targets

@@ -228,7 +228,11 @@ class TraceRule(Rule):
         engine = self.engine
         result = TraceResult()
         state = engine.state
-        undo: dict[int, tuple[int, int]] = {}
+        # (offset, labels, priorities) per accepted instruction.  The
+        # spans are disjoint: can_mark_instruction refuses a start
+        # inside or straddling one this trace already marked.
+        undo: list[tuple[int, bytearray, bytearray]] = []
+        lo, hi = seed, 0
         worklist: list[tuple[int, int]] = [(seed, 0)]
         visited: set[int] = set()
         # Soft seeds have no corroborating evidence, so for them *any*
@@ -253,29 +257,29 @@ class TraceRule(Rule):
                                                    instruction.length,
                                                    priority):
                 if contradiction(depth):
-                    for o, (label, prio) in undo.items():
-                        state.labels[o] = label
-                        state.priorities[o] = prio
+                    for o, labels, priorities in reversed(undo):
+                        state.labels[o:o + len(labels)] = labels
+                        state.priorities[o:o + len(priorities)] = priorities
                     result.aborted = True
                     result.derailed_at = offset
                     result.derail_depth = depth
                     result.derail_hit = describe_conflict(
                         engine, offset, instruction, priority)
                     if undo:
-                        result.touched = (min(min(undo), seed),
-                                          max(undo) + 1)
+                        result.touched = (lo, hi)
                     else:
                         result.touched = (min(seed, offset),
                                           max(seed, offset) + 1)
                     return result
                 continue   # prune this path only
 
-            for i in range(offset, min(offset + instruction.length,
-                                       state.size)):
-                if i not in undo:
-                    undo[i] = (state.labels[i], state.priorities[i])
-                    if state.labels[i]:   # non-UNKNOWN: a real overwrite
-                        result.reclassified += 1
+            end = min(offset + instruction.length, state.size)
+            labels = state.labels[offset:end]
+            undo.append((offset, labels, state.priorities[offset:end]))
+            # Non-UNKNOWN bytes are real overwrites.
+            result.reclassified += end - offset - labels.count(0)
+            lo = min(lo, offset)
+            hi = max(hi, end)
             state.mark_instruction(offset, instruction.length, priority)
             result.accepted.add(offset)
 
@@ -319,7 +323,7 @@ class TraceRule(Rule):
                 worklist.append((instruction.end, depth + 1))
 
         if undo:
-            result.touched = (min(min(undo), seed), max(undo) + 1)
+            result.touched = (lo, hi)
         engine.resolved_tables.extend(result.resolved_tables)
         for fall, target in result.pending_calls:
             engine.store.add_pending_call(PendingCall(fall, target))
@@ -432,7 +436,8 @@ class CallContinuationRule(Rule):
     callees stay pending; if nothing ever proves them returning, their
     bytes are left to gap completion (i.e. data).  Semi-naive: skipped
     unless the state, the pending set, or the resolved-table set
-    changed since the last barren attempt.
+    changed since the last barren attempt.  Returning-ness walks stay
+    memoized for the engine's lifetime.
     """
 
     name = "call-continuation"
@@ -440,8 +445,7 @@ class CallContinuationRule(Rule):
     def __init__(self, engine) -> None:
         super().__init__(engine)
         self._barren_at: tuple[int, int, int] | None = None
-        self._returning_key: tuple | None = None
-        self._returning: dict[int, bool] = {}
+        self._walks: dict = {}
 
     def fire(self) -> bool:
         engine = self.engine
@@ -456,15 +460,10 @@ class CallContinuationRule(Rule):
         resolved_jumps = {table.dispatch: table.targets
                           for table in engine.resolved_tables
                           if table.kind == "jump" and table.dispatch >= 0}
-        # The verdict only changes when the target set or the resolved
-        # dispatch map changes; resolution rounds are frequent, so cache.
-        cache_key = (frozenset(targets), len(resolved_jumps))
-        if self._returning_key != cache_key:
-            self._returning = compute_returning(
-                engine.superset, targets, resolved_jumps=resolved_jumps,
-                resolve_dispatch=engine.speculative_dispatch_targets)
-            self._returning_key = cache_key
-        returning = self._returning
+        returning = compute_returning(
+            engine.superset, targets, resolved_jumps=resolved_jumps,
+            resolve_dispatch=engine.speculative_dispatch_targets,
+            walks=self._walks)
         engine.noreturn_entries = {t for t, ok in returning.items()
                                    if not ok}
         still_pending = []
@@ -648,15 +647,16 @@ class GapRule(Rule):
                 return False
             if instruction.flow in (FlowKind.TRAP, FlowKind.HALT):
                 return False     # real code does not fall into padding
-            for i in range(current, min(instruction.end, state.size)):
-                if state.is_data(i) and \
-                        state.priorities[i] > Priority.SOFT:
-                    return False
-                if i > current and state.is_code(i):
-                    # Overlaps confirmed code mid-instruction: the
-                    # "join" would straddle an existing instruction
-                    # start, which real leftover code never does.
-                    return False
+            stop = min(instruction.end, state.size)
+            if state.labels[current + 1:stop].translate(None, b"\x00\x03"):
+                # Dropping UNKNOWN/DATA leaves the code bytes.  Code past
+                # the first byte: the "join" would straddle an existing
+                # instruction start, which real leftover code never does.
+                return False
+            if any(label == Classification.DATA and prio > Priority.SOFT
+                   for label, prio in zip(state.labels[current:stop],
+                                          state.priorities[current:stop])):
+                return False
             if not instruction.falls_through:
                 return True
             nxt = instruction.end
@@ -755,8 +755,7 @@ class RealignRule(Rule):
                                    f"the unreachable continuation of a "
                                    f"proven-noreturn call")
                 continue
-            if any(engine.state.priorities[i] > Priority.SOFT
-                   for i in range(start, end)):
+            if max(engine.state.priorities[start:end]) > Priority.SOFT:
                 engine.note("skip-realign", start, end,
                             source="priority-guard",
                             detail=f"residue {start:#x}-{end:#x} carries "

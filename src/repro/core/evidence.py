@@ -6,11 +6,15 @@ overwrite weaker decisions (that is the "error correction"); equal or
 weaker evidence that contradicts an existing decision is rejected.
 The evidence itself travels as the engine's claims
 (:mod:`repro.core.engine.facts`).
+
+Scans and marks are C-level passes: compiled regexes over the labels,
+slice assignment, and ``bytes.translate`` for the priority maximum.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 
 
 class Classification(enum.IntEnum):
@@ -29,8 +33,21 @@ class Priority(enum.IntEnum):
     ANCHOR = 4       # the entry point and propagation from anchors
 
 
+_UNKNOWN_RUNS = re.compile(rb"\x00+")
+_DATA_RUNS = re.compile(rb"\x03+")
+_CODE_STARTS = re.compile(rb"\x01")
+#: ``_RAISE[p]`` translates each priority byte ``b`` to ``max(b, p)``.
+_RAISE = tuple(bytes([p]) * p + bytes(range(p, 256)) for p in range(256))
+#: Labels that refute an instruction start at its first byte, past it.
+_NO_START_AT = (Classification.CODE_INTERIOR, Classification.DATA)
+_NO_START_OVER = (Classification.CODE_START, Classification.DATA)
+_CODE = (Classification.CODE_START, Classification.CODE_INTERIOR)
+
+
 class ClassificationState:
-    """Per-byte labels plus the priority that fixed each byte."""
+    """Per-byte labels plus the priority that fixed each byte.
+
+    Ranges clamp to ``[0, size)``."""
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -48,42 +65,20 @@ class ClassificationState:
         return self.labels[offset] == Classification.CODE_START
 
     def is_code(self, offset: int) -> bool:
-        return self.labels[offset] in (Classification.CODE_START,
-                                       Classification.CODE_INTERIOR)
+        return self.labels[offset] in _CODE
 
     def is_data(self, offset: int) -> bool:
         return self.labels[offset] == Classification.DATA
 
     def instruction_starts(self) -> set[int]:
-        return {i for i, label in enumerate(self.labels)
-                if label == Classification.CODE_START}
+        return {m.start() for m in _CODE_STARTS.finditer(self.labels)}
 
     def unknown_gaps(self) -> list[tuple[int, int]]:
         """Maximal [start, end) runs still unclassified."""
-        gaps = []
-        start = None
-        for i, label in enumerate(self.labels):
-            if label == Classification.UNKNOWN and start is None:
-                start = i
-            elif label != Classification.UNKNOWN and start is not None:
-                gaps.append((start, i))
-                start = None
-        if start is not None:
-            gaps.append((start, self.size))
-        return gaps
+        return [m.span() for m in _UNKNOWN_RUNS.finditer(self.labels)]
 
     def data_regions(self) -> list[tuple[int, int]]:
-        regions = []
-        start = None
-        for i, label in enumerate(self.labels):
-            if label == Classification.DATA and start is None:
-                start = i
-            elif label != Classification.DATA and start is not None:
-                regions.append((start, i))
-                start = None
-        if start is not None:
-            regions.append((start, self.size))
-        return regions
+        return [m.span() for m in _DATA_RUNS.finditer(self.labels)]
 
     # ------------------------------------------------------------------
     # Mutations
@@ -92,40 +87,36 @@ class ClassificationState:
     def can_mark_instruction(self, offset: int, length: int,
                              priority: Priority) -> bool:
         """Would marking this instruction contradict stronger evidence?"""
-        end = min(offset + length, self.size)
-        if self.labels[offset] == Classification.CODE_INTERIOR \
-                and self.priorities[offset] >= priority:
-            return False
-        for i in range(offset, end):
-            label = self.labels[i]
-            if label == Classification.DATA \
-                    and self.priorities[i] >= priority:
-                return False
-            if i > offset and label == Classification.CODE_START \
-                    and self.priorities[i] >= priority:
+        for i in range(max(offset, 0), min(offset + length, self.size)):
+            if self.priorities[i] >= priority and self.labels[i] in (
+                    _NO_START_AT if i == offset else _NO_START_OVER):
                 return False
         return True
 
     def mark_instruction(self, offset: int, length: int,
                          priority: Priority) -> None:
         """Record an accepted instruction; caller checked for conflicts."""
-        end = min(offset + length, self.size)
-        self.labels[offset] = Classification.CODE_START
-        self.priorities[offset] = max(self.priorities[offset], priority)
-        for i in range(offset + 1, end):
-            self.labels[i] = Classification.CODE_INTERIOR
-            self.priorities[i] = max(self.priorities[i], priority)
+        start, end = max(offset, 0), min(offset + length, self.size)
+        if start < end:
+            head = b"\x01" if start == offset else b"\x02"
+            self._mark(start, end, head + b"\x02" * (end - start - 1),
+                       priority)
 
     def can_mark_data(self, start: int, end: int,
                       priority: Priority) -> bool:
-        for i in range(start, min(end, self.size)):
-            if self.labels[i] in (Classification.CODE_START,
-                                  Classification.CODE_INTERIOR) \
-                    and self.priorities[i] >= priority:
-                return False
-        return True
+        start, end = max(start, 0), min(end, self.size)
+        return start >= end or not any(
+            prio >= priority and label in _CODE
+            for label, prio in zip(self.labels[start:end],
+                                   self.priorities[start:end]))
 
     def mark_data(self, start: int, end: int, priority: Priority) -> None:
-        for i in range(start, min(end, self.size)):
-            self.labels[i] = Classification.DATA
-            self.priorities[i] = max(self.priorities[i], priority)
+        start, end = max(start, 0), min(end, self.size)
+        if start < end:
+            self._mark(start, end, b"\x03" * (end - start), priority)
+
+    def _mark(self, start: int, end: int, labels: bytes,
+              priority: Priority) -> None:
+        self.labels[start:end] = labels
+        self.priorities[start:end] = \
+            self.priorities[start:end].translate(_RAISE[priority])

@@ -16,7 +16,6 @@ from ..analysis.idioms import (FUNCTION_ALIGNMENT, PROLOGUE_THRESHOLD,
                                prologue_score)
 from ..isa.opcodes import FlowKind
 from ..superset.superset import Superset
-from .evidence import ClassificationState
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,7 @@ class FunctionSpan:
     end: int
 
 
-def _falls_into(superset: Superset, state: ClassificationState,
-                offset: int) -> bool:
+def _falls_into(superset: Superset, starts: set[int], offset: int) -> bool:
     """Does confirmed code fall through into ``offset``?
 
     Padding instructions (nop runs, int3) between functions are skipped:
@@ -40,7 +38,7 @@ def _falls_into(superset: Superset, state: ClassificationState,
             candidate = current - back
             if candidate < 0:
                 break
-            if state.is_code_start(candidate):
+            if candidate in starts:
                 ins = superset.at(candidate)
                 if ins is not None and ins.end == current:
                     previous = ins
@@ -54,12 +52,10 @@ def _falls_into(superset: Superset, state: ClassificationState,
     return False
 
 
-def identify_functions(superset: Superset, state: ClassificationState,
-                       entry: int, *,
+def identify_functions(superset: Superset, starts: set[int], entry: int, *,
                        pointer_table_targets: frozenset[int] = frozenset()
                        ) -> list[FunctionSpan]:
     """Derive function entries and extents from accepted code."""
-    starts = state.instruction_starts()
     entries: set[int] = set()
     if entry in starts:
         entries.add(entry)
@@ -67,15 +63,15 @@ def identify_functions(superset: Superset, state: ClassificationState,
     # Direct call targets, and tail-jump targets that open like functions.
     for offset in starts:
         instruction = superset.at(offset)
-        if instruction is None:
+        if instruction is None or \
+                instruction.flow not in (FlowKind.CALL, FlowKind.JUMP):
             continue
         target = instruction.branch_target
         if target not in starts:
             continue
         if instruction.flow is FlowKind.CALL:
             entries.add(target)
-        elif instruction.flow is FlowKind.JUMP \
-                and target % FUNCTION_ALIGNMENT == 0 \
+        elif target % FUNCTION_ALIGNMENT == 0 \
                 and prologue_score(superset, target) >= PROLOGUE_THRESHOLD:
             entries.add(target)    # likely tail call
 
@@ -90,13 +86,13 @@ def identify_functions(superset: Superset, state: ClassificationState,
             continue
         if prologue_score(superset, offset) < PROLOGUE_THRESHOLD:
             continue
-        if _falls_into(superset, state, offset):
+        if _falls_into(superset, starts, offset):
             continue
         entries.add(offset)
 
     ordered = sorted(entries)
     spans = []
     for i, fn_entry in enumerate(ordered):
-        end = ordered[i + 1] if i + 1 < len(ordered) else state.size
+        end = ordered[i + 1] if i + 1 < len(ordered) else len(superset)
         spans.append(FunctionSpan(entry=fn_entry, end=end))
     return spans

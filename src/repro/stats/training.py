@@ -9,6 +9,7 @@ never uses, preserving the train/test separation.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..binary.loader import TestCase
@@ -35,12 +36,12 @@ def token_sequences(case: TestCase) -> list[list[str]]:
     """Per-function normalized token sequences from ground truth."""
     text = case.text
     truth = case.truth
-    starts = truth.instruction_starts
+    starts = sorted(truth.instruction_starts)
     sequences = []
     for function in truth.functions:
         tokens = []
-        for offset in sorted(s for s in starts
-                             if function.entry <= s < function.end):
+        for offset in starts[bisect_left(starts, function.entry):
+                             bisect_left(starts, function.end)]:
             instruction = try_decode(text, offset)
             if instruction is not None:
                 tokens.append(token_of(instruction))
