@@ -257,16 +257,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_server(config)
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from .eval.experiments import main as experiments_main
-    argv = list(args.ids)
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.bench_json:
-        argv += ["--bench-json", args.bench_json]
-    return experiments_main(argv)
-
-
 def _resolve_text_offset(binary, raw: str) -> int:
     """Parse an address argument; virtual addresses map into .text."""
     try:
@@ -523,17 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="local dump format (default: prometheus)")
     metrics.set_defaults(func=_cmd_metrics)
 
-    experiments = sub.add_parser("experiments",
-                                 help="run evaluation experiments")
-    experiments.add_argument("ids", nargs="+",
-                             help="experiment ids (t1..t5, f1..f4, v1, "
-                                  "l1, r1, all)")
-    experiments.add_argument("--jobs", type=int, default=None, metavar="N",
-                             help="parallel worker processes "
-                                  "(0 = one per CPU)")
-    experiments.add_argument("--bench-json", metavar="PATH", default=None,
-                             help="write wall-clock timings as JSON")
-    experiments.set_defaults(func=_cmd_experiments)
+    from .eval.experiments import add_arguments, run_experiments
+    experiments = add_arguments(sub.add_parser(
+        "experiments", help="run evaluation experiments"))
+    experiments.set_defaults(func=run_experiments)
 
     from .fleet.commands import add_evalfleet_parser
     add_evalfleet_parser(sub)

@@ -33,7 +33,7 @@ from ..perf import bench_envelope, write_bench_json
 from ..synth.corpus import BinarySpec, density_style, generate_binary
 from ..synth.styles import MSVC_LIKE, STYLES
 from .dataset import EVAL_SEEDS, characteristics, evaluation_corpus
-from .parallel import (ToolSpec, baseline_spec,
+from .parallel import (ToolSpec, baseline_spec, effective_jobs,
                        evaluate_tools, predict_pairs, repro_spec)
 from .report import Table
 
@@ -401,10 +401,13 @@ EXPERIMENTS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.eval.experiments",
-        description="Regenerate evaluation tables/figures.")
+def add_arguments(parser: argparse.ArgumentParser
+                  ) -> argparse.ArgumentParser:
+    """Declare the experiment arguments on ``parser``.
+
+    The one declaration behind both entry points, ``repro experiments``
+    and ``python -m repro.eval.experiments``.
+    """
     parser.add_argument("ids", nargs="+",
                         help=f"experiment ids ({', '.join(EXPERIMENTS)}) "
                              f"or 'all'")
@@ -414,11 +417,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--bench-json", metavar="PATH", default=None,
                         help="write per-experiment wall-clock timings as "
                              "a machine-readable BENCH json")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = add_arguments(argparse.ArgumentParser(
+        prog="python -m repro.eval.experiments",
+        description="Regenerate evaluation tables/figures."))
     try:
         args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:       # --help / usage errors: plain return
         return int(exc.code or 0)
+    return run_experiments(args)
 
+
+def run_experiments(args: argparse.Namespace) -> int:
+    """Run the experiments an :func:`add_arguments` namespace names."""
+    try:
+        effective_jobs(args.jobs)
+    except ValueError as error:
+        print(f"experiments: {error}", file=sys.stderr)
+        return 2
     requested = list(EXPERIMENTS) if "all" in args.ids else args.ids
     for name in requested:
         if name not in EXPERIMENTS:

@@ -1,9 +1,10 @@
-"""Parallel evaluation driver: many (tool, binary) runs across processes.
+"""Parallel evaluation driver: one corpus fan-out across processes.
 
 Corpus evaluation is embarrassingly parallel -- every (tool, binary)
-pair is independent -- so the experiment runners fan the pairs out over
-a :class:`~concurrent.futures.ProcessPoolExecutor`.  Three properties
-the driver guarantees:
+pair, and every fleet item, is independent -- so the experiment runners
+and the fleet driver (:mod:`repro.fleet.driver`) share one generator,
+:func:`fan_out`, over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+Three properties it guarantees:
 
 * **Determinism**: results come back in submission order regardless of
   worker scheduling, so every table is byte-identical to a serial run.
@@ -15,13 +16,14 @@ the driver guarantees:
   :class:`ToolSpec` values (name + config), never as closures.
 
 ``jobs=None`` or ``jobs=1`` runs serially in-process (no pool, no
-pickling); ``jobs=0`` means "one per CPU".
+pickling); ``jobs=0`` means "one per CPU"; a negative count is an error.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..baselines import (heuristic_descent, linear_sweep,
@@ -29,7 +31,8 @@ from ..baselines import (heuristic_descent, linear_sweep,
 from ..binary.loader import TestCase
 from ..core.config import DisassemblerConfig
 from ..core.disassembler import Disassembler
-from ..obs.trace import SpanContext, Tracer, current_tracer, set_tracer
+from ..obs.metrics import REGISTRY
+from ..obs.trace import SpanContext, Tracer, activate, current_tracer
 from ..result import DisassemblyResult
 from ..superset.superset import cached_superset
 from .metrics import Evaluation, aggregate, evaluate
@@ -117,102 +120,117 @@ def run_tool(spec: ToolSpec, case: TestCase) -> DisassemblyResult:
     return disassembler_for(spec).disassemble(case)
 
 
+def _pair_span(spec: ToolSpec, case: TestCase):
+    """An ``eval-pair`` span when tracing, else a no-op context."""
+    tracer = current_tracer()
+    if tracer is None:
+        return nullcontext()
+    return tracer.span("eval-pair", tool=spec.name, case=case.name)
+
+
 def _evaluate_pair(pair: tuple[ToolSpec, TestCase]) -> Evaluation:
     spec, case = pair
-    return evaluate(run_tool(spec, case), case.truth)
+    with _pair_span(spec, case):
+        return evaluate(run_tool(spec, case), case.truth)
 
 
 def _predict_pair(pair: tuple[ToolSpec, TestCase]) -> DisassemblyResult:
-    return run_tool(*pair)
+    with _pair_span(*pair):
+        return run_tool(*pair)
 
 
-def _traced_call(fn, item):
-    """Run one pair in a worker under a tracer seeded from the caller.
+def _run_chunk(fn, items: list, ctx: dict | None) -> tuple[list, list]:
+    """Worker side of :func:`fan_out`: one chunk, plus its spans.
 
-    ``item`` is ``(pair, span_context_dict)``.  The worker records into
-    its own :class:`Tracer` (the coordinator's, if inherited through
-    fork, is ignored by :func:`current_tracer` -- wrong pid) and ships
-    its spans home as dicts for :meth:`Tracer.adopt`.
+    With a caller context the worker records under a tracer seeded
+    from it (a tracer inherited through fork is ignored by
+    :func:`current_tracer` -- wrong pid) and ships its spans home as
+    dicts for :meth:`Tracer.adopt`.
     """
-    pair, ctx = item
-    spec, case = pair
-    tracer = Tracer(parent=SpanContext.from_dict(ctx))
-    previous = set_tracer(tracer)
-    try:
-        with tracer.span("eval-pair", tool=spec.name, case=case.name):
-            value = fn(pair)
-    finally:
-        set_tracer(previous)
-    return value, [span.to_dict() for span in tracer.drain()]
-
-
-def _traced_evaluate_pair(item):
-    return _traced_call(_evaluate_pair, item)
-
-
-def _traced_predict_pair(item):
-    return _traced_call(_predict_pair, item)
+    if ctx is None:
+        return [fn(item) for item in items], []
+    with activate(tracer=Tracer(parent=SpanContext.from_dict(ctx))) \
+            as tracer:
+        values = [fn(item) for item in items]
+    return values, [span.to_dict() for span in tracer.drain()]
 
 
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
 
+#: Chunks :func:`fan_out` re-ran in the coordinator after their future
+#: raised (a crashed worker, a broken pool).
+FANOUT_RERUNS = REGISTRY.counter(
+    "repro_fanout_reruns_total",
+    "Fan-out chunks re-run in the coordinator after a worker failure")
+
+
 def effective_jobs(jobs: int | None) -> int:
     """Resolve a ``--jobs`` value: None/1 serial, 0 one-per-CPU."""
     if jobs is None:
         return 1
-    if jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0 = one per CPU), "
+                         f"not {jobs}")
+    return jobs or os.cpu_count() or 1
 
 
-def _warm_models(specs) -> None:
-    """Train/load models once in the parent before any worker needs them.
+def _make_pool(workers: int):
+    """The fan-out's worker pool (tests substitute their own)."""
+    return ProcessPoolExecutor(max_workers=workers)
 
-    Forked workers inherit the in-process cache outright; spawned
-    workers find the trained models in the disk cache.  Either way no
-    worker ever regenerates the training corpus.
+
+def fan_out(fn, items, jobs: int | None, *, chunk: int = 1):
+    """Yield ``fn(item)`` for every item, in submission order.
+
+    ``jobs`` None or 1 runs in-process.  Otherwise every ``chunk`` of
+    consecutive items goes to one process pool up front, so the pool
+    stays busy for as long as the caller keeps consuming; results come
+    back in submission order regardless of worker scheduling, which
+    makes every pooled table and trend byte-identical to a serial one.
+    Models are warmed in the caller first: forked workers inherit the
+    in-process cache, spawned ones find it on disk, and no worker ever
+    regenerates the training corpus.
+
+    With tracing active each chunk travels with the caller's
+    :class:`SpanContext` and its worker spans re-parent into the
+    caller's trace, so a pooled run produces *one* trace spanning
+    every process.  A chunk whose future raises (a crashed worker, a
+    broken pool) is re-run in the coordinator and counted in
+    ``repro_fanout_reruns_total``.
     """
+    items = list(items)
+    chunk = max(1, chunk)
+    chunks = [items[start:start + chunk]
+              for start in range(0, len(items), chunk)]
+    workers = min(effective_jobs(jobs), len(chunks))
+    if workers <= 1:
+        for item in items:
+            yield fn(item)
+        return
     from ..stats.training import default_models
-
-    if any(spec.kind == "repro" and spec.config is None for spec in specs):
-        default_models()
-
-
-def _serial(fn, pairs):
-    """In-process fan-out; one ``eval-pair`` span per pair when tracing."""
+    default_models()
     tracer = current_tracer()
-    if tracer is None:
-        return [fn(pair) for pair in pairs]
-    results = []
-    for spec, case in pairs:
-        with tracer.span("eval-pair", tool=spec.name, case=case.name):
-            results.append(fn((spec, case)))
-    return results
-
-
-def _pooled(fn, traced_fn, pairs, workers, chunk):
-    """Process-pool fan-out, preserving submission order exactly.
-
-    ``map()`` yields results in submission order: determinism for free.
-    With tracing active, each pair travels with the coordinator's
-    :class:`SpanContext`; the worker's spans come back alongside the
-    result and re-parent into the coordinator's trace, so a parallel
-    run produces *one* trace spanning every process.
-    """
-    tracer = current_tracer()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        if tracer is None:
-            return list(pool.map(fn, pairs, chunksize=max(1, chunk)))
-        ctx = tracer.context().as_dict()
-        results = []
-        for value, spans in pool.map(traced_fn,
-                                     [(pair, ctx) for pair in pairs],
-                                     chunksize=max(1, chunk)):
-            tracer.adopt(spans)
-            results.append(value)
-        return results
+    ctx = tracer.context().as_dict() if tracer is not None else None
+    pool = _make_pool(workers)
+    broken = False
+    try:
+        futures = [pool.submit(_run_chunk, fn, part, ctx)
+                   for part in chunks]
+        for part, future in zip(chunks, futures):
+            try:
+                values, spans = future.result()
+            except Exception:  # noqa: BLE001 -- re-run below
+                broken = True
+                FANOUT_RERUNS.inc()
+                values, spans = [fn(item) for item in part], []
+            if tracer is not None:
+                tracer.adopt(spans)
+            yield from values
+    finally:
+        # A broken pool can hang on orderly shutdown; don't wait on it.
+        pool.shutdown(wait=not broken, cancel_futures=True)
 
 
 def evaluate_pairs(pairs: list[tuple[ToolSpec, TestCase]],
@@ -224,37 +242,17 @@ def evaluate_pairs(pairs: list[tuple[ToolSpec, TestCase]],
     that order pairs case-major pass the tool count so all runs over a
     given binary share one worker's superset cache.
     """
-    workers = effective_jobs(jobs)
-    if workers <= 1 or len(pairs) <= 1:
-        return _serial(_evaluate_pair, pairs)
-    _warm_models({spec for spec, _ in pairs})
-    workers = min(workers, len(pairs))
-    return _pooled(_evaluate_pair, _traced_evaluate_pair, pairs,
-                   workers, chunk)
+    return list(fan_out(_evaluate_pair, pairs, jobs, chunk=chunk))
 
 
 def predict_pairs(pairs: list[tuple[ToolSpec, TestCase]],
-                  jobs: int | None = None, *,
-                  chunk: int = 1) -> list[DisassemblyResult]:
+                  jobs: int | None = None) -> list[DisassemblyResult]:
     """Raw tool outputs for (tool, case) pairs, in submission order.
 
     For experiments that need the predictions themselves (e.g. dynamic
     validation) rather than scored metrics.
     """
-    workers = effective_jobs(jobs)
-    if workers <= 1 or len(pairs) <= 1:
-        return _serial(_predict_pair, pairs)
-    _warm_models({spec for spec, _ in pairs})
-    workers = min(workers, len(pairs))
-    return _pooled(_predict_pair, _traced_predict_pair, pairs,
-                   workers, chunk)
-
-
-def evaluate_tool(spec: ToolSpec, cases, jobs: int | None = None,
-                  name: str | None = None) -> Evaluation:
-    """Pooled evaluation of one tool over a corpus."""
-    evaluations = evaluate_pairs([(spec, case) for case in cases], jobs)
-    return aggregate(evaluations, name or spec.name)
+    return list(fan_out(_predict_pair, pairs, jobs))
 
 
 def evaluate_tools(specs: list[ToolSpec], cases,

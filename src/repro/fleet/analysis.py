@@ -105,8 +105,8 @@ def _differential(corrected: DisassemblyResult,
 # The serve-backed corrected path
 # ----------------------------------------------------------------------
 
-#: One client per (process, server) -- threads share it safely because
-#: ServeClient opens a fresh connection per request.
+#: One client per (process, server): each fan-out worker process keeps
+#: its own, and ServeClient opens a fresh connection per request.
 _CLIENTS: dict[str, object] = {}
 
 

@@ -1,17 +1,19 @@
 """The fleet driver: sharded, fault-tolerant, resumable fan-out.
 
-A fleet run materializes a manifest into per-binary reports through a
-worker pool (``repro.eval.parallel`` process workers in-process, or
-client threads against a running ``repro serve`` instance), writing
-each completed *shard* of reports to disk as an atomic checkpoint.
-Three failure domains are handled explicitly:
+A fleet run materializes a manifest into per-binary reports through
+the corpus fan-out (:func:`repro.eval.parallel.fan_out`: in-process or
+on process workers, which run the corrected tool themselves or ask a
+running ``repro serve`` instance for it), writing each completed
+*shard* of reports to disk as an atomic checkpoint as soon as its
+reports arrive.  Three failure domains are handled explicitly:
 
 * **A failed binary** (malformed file, analysis crash) is quarantined
   inside its report by :func:`~repro.fleet.analysis.analyze_item` --
   the shard completes, the failure shows up in the trend.
 * **A crashed worker** (OOM-killed child, broken pool) is detected at
-  result-collection time; the affected items are re-run serially in
-  the coordinator, so the fleet still completes.
+  result-collection time; the fan-out re-runs the affected items in
+  the coordinator and counts them in ``repro_fanout_reruns_total``, so
+  the fleet still completes.
 * **A killed run** (kill -9, preempted CI job) loses at most the
   shards in flight: a rerun over the same run directory loads every
   completed checkpoint, recomputes only the rest, and -- because
@@ -27,11 +29,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
-from ..eval.parallel import effective_jobs
+from ..eval.parallel import FANOUT_RERUNS, effective_jobs, fan_out
 from .aggregate import aggregate, publish_metrics, write_trend
 from .analysis import analyze_item
 from .manifest import Manifest
@@ -58,6 +61,7 @@ class FleetConfig:
             raise ValueError(f"unknown via mode {self.via!r}")
         if self.via == "serve" and not self.server:
             raise ValueError("--via serve needs a --server host:port")
+        effective_jobs(self.jobs)    # rejects a negative count
 
 
 def _shard_path(rundir: Path, index: int) -> Path:
@@ -111,17 +115,10 @@ def pin_manifest(rundir: str | Path, manifest: Manifest) -> Path:
 
 
 def _analyze_args(args: tuple) -> dict:
+    # Resolves ``analyze_item`` at call time: the pipeline benchmark
+    # patches this module attribute to time each item.
     item_dict, via, server = args
     return analyze_item(item_dict, via=via, server=server)
-
-
-def _make_pool(config: FleetConfig, workers: int):
-    if config.via == "serve":
-        # HTTP-bound work: threads share the retrying client.
-        return ThreadPoolExecutor(max_workers=workers)
-    from ..stats.training import default_models
-    default_models()   # warm once; forked workers inherit the cache
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def run_fleet(manifest: Manifest, rundir: str | Path,
@@ -167,15 +164,24 @@ def run_fleet(manifest: Manifest, rundir: str | Path,
     shard_gauge.set(len(reports_by_shard), state="done")
 
     started = time.perf_counter()
-    if pending:
-        workers = effective_jobs(config.jobs)
-        if workers <= 1:
-            _run_serial(shards, pending, config, rundir, reports_by_shard,
-                        shard_gauge, shard_seconds, say)
-        else:
-            _run_pooled(shards, pending, config, rundir, reports_by_shard,
-                        workers, shard_gauge, shard_seconds, say)
+    reruns_before = FANOUT_RERUNS.total()
+    items = [(item.to_dict(), config.via, config.server)
+             for index in pending for item in shards[index]]
+    with closing(fan_out(_analyze_args, items, config.jobs)) as results:
+        for index in pending:
+            shard_started = time.perf_counter()
+            reports = list(islice(results, len(shards[index])))
+            seconds = time.perf_counter() - shard_started
+            _write_checkpoint(_shard_path(rundir, index), index, reports)
+            reports_by_shard[index] = reports
+            shard_gauge.inc(1, state="done")
+            shard_seconds.observe(seconds)
+            failed = sum(1 for r in reports if r["status"] != "ok")
+            suffix = f" ({failed} quarantined)" if failed else ""
+            say(f"shard {index:05d}: {len(reports)} binaries in "
+                f"{seconds:.1f}s{suffix}")
     elapsed = time.perf_counter() - started
+    reruns = int(FANOUT_RERUNS.total() - reruns_before)
 
     reports = [report for index in range(len(shards))
                for report in reports_by_shard[index]]
@@ -186,74 +192,10 @@ def run_fleet(manifest: Manifest, rundir: str | Path,
     say(f"fleet: {trend['binaries']['ok']}/{trend['binaries']['total']} "
         f"ok, {trend['binaries']['failed']} quarantined "
         f"({computed} computed in {elapsed:.1f}s, "
-        f"{len(reports) - computed} from checkpoints)")
+        f"{len(reports) - computed} from checkpoints"
+        + (f", {reruns} chunks re-run in-process" if reruns else "")
+        + ")")
     return trend
-
-
-def _finish_shard(index: int, reports: list, rundir: Path,
-                  reports_by_shard: dict, seconds: float,
-                  shard_gauge, shard_seconds, say) -> None:
-    _write_checkpoint(_shard_path(rundir, index), index, reports)
-    reports_by_shard[index] = reports
-    shard_gauge.inc(1, state="done")
-    shard_seconds.observe(seconds)
-    failed = sum(1 for r in reports if r["status"] != "ok")
-    suffix = f" ({failed} quarantined)" if failed else ""
-    say(f"shard {index:05d}: {len(reports)} binaries in "
-        f"{seconds:.1f}s{suffix}")
-
-
-def _run_serial(shards, pending, config, rundir, reports_by_shard,
-                shard_gauge, shard_seconds, say) -> None:
-    for index in pending:
-        shard_started = time.perf_counter()
-        reports = [analyze_item(item.to_dict(), via=config.via,
-                                server=config.server)
-                   for item in shards[index]]
-        _finish_shard(index, reports, rundir, reports_by_shard,
-                      time.perf_counter() - shard_started,
-                      shard_gauge, shard_seconds, say)
-
-
-def _run_pooled(shards, pending, config, rundir, reports_by_shard,
-                workers, shard_gauge, shard_seconds, say) -> None:
-    """Pool fan-out with per-shard checkpointing as shards complete.
-
-    Every pending item is submitted up front so the pool stays busy
-    across shard boundaries; checkpoints are written in shard order as
-    each shard's futures finish.  A broken pool (crashed worker) is
-    absorbed by recomputing the affected items in the coordinator.
-    """
-    pool = _make_pool(config, workers)
-    pool_broken = False
-    try:
-        futures: dict[int, list[tuple[dict, Future]]] = {}
-        for index in pending:
-            futures[index] = [
-                (item.to_dict(),
-                 pool.submit(_analyze_args,
-                             (item.to_dict(), config.via, config.server)))
-                for item in shards[index]]
-        shard_started = time.perf_counter()
-        for index in pending:
-            reports = []
-            for item_dict, future in futures[index]:
-                try:
-                    reports.append(future.result())
-                except Exception as error:  # noqa: BLE001 -- pool crash
-                    if not pool_broken:
-                        pool_broken = True
-                        say(f"worker pool failed ({type(error).__name__}:"
-                            f" {error}); finishing in-process")
-                    reports.append(analyze_item(item_dict, via=config.via,
-                                                server=config.server))
-            _finish_shard(index, reports, rundir, reports_by_shard,
-                          time.perf_counter() - shard_started,
-                          shard_gauge, shard_seconds, say)
-            shard_started = time.perf_counter()
-    finally:
-        # A broken pool can hang on orderly shutdown; don't wait on it.
-        pool.shutdown(wait=not pool_broken, cancel_futures=pool_broken)
 
 
 def detect_shard_size(rundir: str | Path) -> int | None:

@@ -105,6 +105,8 @@ class Manifest:
 
     def limit(self, count: int | None) -> Manifest:
         """The first ``count`` items (None = everything)."""
+        if count is not None and count < 0:
+            raise ValueError(f"limit must be >= 0, not {count}")
         if count is None or count >= len(self.items):
             return self
         return Manifest(self.items[:count])

@@ -31,9 +31,10 @@ import asyncio
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..obs.trace import SpanContext, Tracer, current_tracer, set_tracer
+from ..obs.trace import SpanContext, Tracer, activate, current_tracer
 from .metrics import ServeMetrics
 from .protocol import JobRequest
 
@@ -155,24 +156,18 @@ def run_batch(items: list[tuple]) -> tuple:
         base = rest[0] if rest else ""
         ctx = SpanContext.from_dict(rest[1]) if len(rest) > 1 else None
         tracer = Tracer(parent=ctx) if ctx is not None else None
-        previous = set_tracer(tracer) if tracer is not None else None
         try:
-            if tracer is not None:
-                with tracer.span("job", id=job_id, kind=kind):
-                    payload = _execute_job(kind, blob, overrides,
-                                           tuple(lint_disable), timings,
-                                           base)
-            else:
+            with (activate(tracer=tracer) if tracer else nullcontext()), \
+                    (tracer.span("job", id=job_id, kind=kind)
+                     if tracer else nullcontext()):
                 payload = _execute_job(kind, blob, overrides,
                                        tuple(lint_disable), timings, base)
             results.append((job_id, True, payload, ""))
         except Exception as error:   # noqa: BLE001 -- ferried to the caller
             results.append((job_id, False, str(error),
                             type(error).__name__))
-        finally:
-            if tracer is not None:
-                set_tracer(previous)
-                spans.extend(span.to_dict() for span in tracer.drain())
+        if tracer is not None:
+            spans.extend(span.to_dict() for span in tracer.drain())
     if spans:
         return results, timings, spans
     return results, timings

@@ -10,8 +10,8 @@ import pytest
 from repro.eval.dataset import evaluation_corpus
 from repro.eval.experiments import run_t2, run_t5
 from repro.eval.parallel import (ToolSpec, baseline_spec, effective_jobs,
-                                 evaluate_pairs, evaluate_tool,
-                                 evaluate_tools, predict_pairs, repro_spec)
+                                 evaluate_pairs, evaluate_tools, fan_out,
+                                 predict_pairs, repro_spec)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,10 @@ class TestEffectiveJobs:
     def test_explicit_count_passes_through(self):
         assert effective_jobs(3) == 3
 
+    def test_negative_count_is_an_error(self):
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            effective_jobs(-4)
+
 
 class TestDeterminism:
     def test_parallel_equals_serial_per_pair(self, tiny_corpus):
@@ -54,9 +58,9 @@ class TestDeterminism:
         assert serial == parallel
 
     def test_parallel_equals_serial_pooled(self, tiny_corpus):
-        spec = baseline_spec("rd-heuristic")
-        assert (evaluate_tool(spec, tiny_corpus, jobs=2)
-                == evaluate_tool(spec, tiny_corpus, jobs=None))
+        specs = [baseline_spec("rd-heuristic")]
+        assert (evaluate_tools(specs, tiny_corpus, jobs=2)
+                == evaluate_tools(specs, tiny_corpus, jobs=None))
 
     def test_predictions_keep_submission_order(self, tiny_corpus):
         pairs = [(baseline_spec("linear-sweep"), case)
@@ -71,6 +75,20 @@ class TestDeterminism:
                  baseline_spec("linear-sweep")]
         results = evaluate_tools(specs, tiny_corpus, jobs=2)
         assert list(results) == ["probabilistic", "linear-sweep"]
+
+
+class TestFanOut:
+    def test_chunks_keep_submission_order(self):
+        items = list(range(7))
+        assert list(fan_out(abs, items, 2, chunk=3)) == items
+        assert list(fan_out(abs, items, None, chunk=3)) == items
+
+    def test_serial_path_is_lazy(self):
+        seen = []
+        results = fan_out(seen.append, range(3), None)
+        assert seen == []
+        next(results)
+        assert seen == [0]
 
 
 class TestExperimentParity:

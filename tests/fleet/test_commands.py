@@ -47,6 +47,14 @@ class TestPlan:
         assert main(["evalfleet", "plan", str(path), "--limit", "3"]) == 0
         assert len(Manifest.load(path)) == 3
 
+    def test_negative_limit_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "neg.json"
+        assert main(["evalfleet", "plan", str(path), "--functions", "6",
+                     "--seed-range", "0:2", "--limit", "-1"]) == 2
+        assert not path.exists()
+        err = capsys.readouterr().err
+        assert err == "evalfleet plan: limit must be >= 0, not -1\n"
+
     def test_bad_seed_range_is_a_usage_error(self, tmp_path, capsys):
         assert main(["evalfleet", "plan", str(tmp_path / "x.json"),
                      "--seed-range", "5:2"]) == 2
@@ -136,3 +144,15 @@ class TestRunReportDiff:
         assert main(["evalfleet", "run", str(plan_path),
                      "--rundir", str(tmp_path / "r"),
                      "--via", "serve"]) == 2
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--limit", "limit must be >= 0, not -1"),
+        ("--jobs", "jobs must be >= 0 (0 = one per CPU), not -1"),
+    ])
+    def test_run_rejects_negative_counts(self, plan_path, tmp_path,
+                                         capsys, flag, message):
+        rundir = tmp_path / "r"
+        assert main(["evalfleet", "run", str(plan_path),
+                     "--rundir", str(rundir), flag, "-1"]) == 2
+        assert capsys.readouterr().err == f"evalfleet run: {message}\n"
+        assert not rundir.exists()

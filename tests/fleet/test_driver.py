@@ -8,12 +8,15 @@ any shard size, interrupted and resumed, or re-aggregated later.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.fleet import FleetConfig, Manifest, run_fleet
 from repro.fleet.driver import (_shard_path, detect_shard_size,
                                 load_run_reports, pin_manifest)
+from repro.obs.schema import validate_jsonl
+from repro.obs.trace import activate
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +48,10 @@ def test_thread_pool_does_not_change_the_trend(small_manifest, models,
                                                monkeypatch):
     # Exercise the pooled collection path without process-fork cost by
     # running the in-process analysis on a thread pool.
-    import repro.fleet.driver as driver
+    import repro.eval.parallel as parallel
     from concurrent.futures import ThreadPoolExecutor
-    monkeypatch.setattr(driver, "_make_pool",
-                        lambda config, workers: ThreadPoolExecutor(workers))
+    monkeypatch.setattr(parallel, "_make_pool",
+                        lambda workers: ThreadPoolExecutor(workers))
     run_fleet(small_manifest, tmp_path,
               FleetConfig(jobs=3, shard_size=2))
     assert (tmp_path / "trend.json").read_text() == reference
@@ -97,10 +100,49 @@ def test_checkpoint_with_wrong_ids_is_recomputed(small_manifest, models,
     assert (tmp_path / "trend.json").read_text() == reference
 
 
+def test_traced_pooled_run_is_one_trace(small_manifest, models, tmp_path,
+                                        reference):
+    path = tmp_path / "fleet.jsonl"
+    with activate(path) as tracer:
+        with tracer.span("caller") as caller:
+            run_fleet(small_manifest, tmp_path / "run",
+                      FleetConfig(jobs=2, shard_size=2))
+    assert (tmp_path / "run" / "trend.json").read_text() == reference
+
+    # Worker spans come home from other processes and hang under the
+    # caller's span: every worker-side root re-parents onto it.
+    workers = [s for s in tracer.finished if s.pid != os.getpid()]
+    assert workers
+    worker_ids = {s.span_id for s in workers}
+    assert all(s.parent_id == caller.span_id for s in workers
+               if s.parent_id not in worker_ids)
+    summary = validate_jsonl(path)
+    assert summary["traces"] == 1
+    assert summary["pids"] > 1
+    assert summary["dangling_parents"] == 0
+
+
+def test_driver_resolves_analyze_item_at_call_time(small_manifest, models,
+                                                   tmp_path, monkeypatch):
+    # The pipeline benchmark times each fleet item by patching this
+    # module attribute; a serial run must route every item through it.
+    import repro.fleet.driver as driver
+    seen = []
+    analyze_item = driver.analyze_item
+
+    def spy(item_dict, **kwargs):
+        seen.append(item_dict)
+        return analyze_item(item_dict, **kwargs)
+
+    monkeypatch.setattr(driver, "analyze_item", spy)
+    run_fleet(small_manifest, tmp_path, FleetConfig(shard_size=3))
+    assert seen == [item.to_dict() for item in small_manifest]
+
+
 def test_broken_pool_falls_back_to_coordinator(small_manifest, models,
                                                tmp_path, reference,
                                                monkeypatch):
-    import repro.fleet.driver as driver
+    import repro.eval.parallel as parallel
 
     class _DoomedFuture:
         def result(self):
@@ -113,12 +155,18 @@ def test_broken_pool_falls_back_to_coordinator(small_manifest, models,
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(driver, "_make_pool",
-                        lambda config, workers: _DoomedPool())
+    monkeypatch.setattr(parallel, "_make_pool",
+                        lambda workers: _DoomedPool())
+    reruns = parallel.FANOUT_RERUNS.total()
+    lines: list[str] = []
     trend = run_fleet(small_manifest, tmp_path,
-                      FleetConfig(jobs=2, shard_size=2))
+                      FleetConfig(jobs=2, shard_size=2),
+                      progress=lines.append)
     assert trend["binaries"]["ok"] == 4       # all recomputed in-process
     assert (tmp_path / "trend.json").read_text() == reference
+    # One chunk per item, each counted once and reported at the end.
+    assert parallel.FANOUT_RERUNS.total() - reruns == 4
+    assert "4 chunks re-run in-process" in lines[-1]
 
 
 def test_pin_manifest_rejects_a_different_corpus(small_manifest,
@@ -154,3 +202,5 @@ def test_config_validation():
         FleetConfig(via="carrier-pigeon")
     with pytest.raises(ValueError):
         FleetConfig(via="serve")              # server required
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        FleetConfig(jobs=-4)

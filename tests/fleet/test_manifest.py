@@ -85,6 +85,13 @@ def test_limit_and_shards():
         manifest.shards(0)
 
 
+def test_negative_limit_is_an_error():
+    # items[:-1] would silently drop the last binary.
+    manifest = plan_grid(["msvc-like"], [4], range(3))
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        manifest.limit(-1)
+
+
 def test_ingest_directory_recognizes_containers(tmp_path):
     case = generate_binary(BinarySpec(name="ing", style=MSVC_LIKE,
                                       function_count=4, seed=0))

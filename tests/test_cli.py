@@ -186,6 +186,43 @@ class TestExperimentsPassthrough:
     def test_unknown_id_fails(self):
         assert main(["experiments", "zzz"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["t1"],
+        ["t1", "t2", "--jobs", "2"],
+        ["--jobs", "0", "all", "--bench-json", "out.json"],
+        [],
+        ["t1", "--jobs", "two"],
+        ["t1", "--bogus"],
+        ["--help"],
+    ])
+    def test_both_entry_points_parse_alike(self, argv, monkeypatch,
+                                           capsys):
+        """`repro experiments` and `python -m repro.eval.experiments`
+        accept and reject the same argv, into the same arguments."""
+        import repro.eval.experiments as experiments
+        parsed = []
+        monkeypatch.setattr(
+            experiments, "run_experiments",
+            lambda args: parsed.append(
+                (args.ids, args.jobs, args.bench_json)) or 0)
+        try:
+            via_repro = main(["experiments", *argv])
+        except SystemExit as exc:       # argparse exits the root CLI
+            via_repro = exc.code or 0
+        assert via_repro == experiments.main(argv)
+        assert len(parsed) in (0, 2)
+        assert parsed[:1] == parsed[1:]
+        capsys.readouterr()
+
+    def test_negative_jobs_is_a_one_line_usage_error(self, capsys):
+        from repro.eval.experiments import main as experiments_main
+        message = "experiments: jobs must be >= 0 (0 = one per CPU), " \
+                  "not -1\n"
+        assert main(["experiments", "t1", "--jobs", "-1"]) == 2
+        assert capsys.readouterr().err == message
+        assert experiments_main(["t1", "--jobs", "-1"]) == 2
+        assert capsys.readouterr().err == message
+
 
 class TestParser:
     def test_requires_subcommand(self):
