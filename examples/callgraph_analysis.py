@@ -12,8 +12,6 @@ functions that are reachable only indirectly -- the ones conventional
 recursive-descent tools never see.
 """
 
-import networkx as nx
-
 from repro import BinarySpec, Disassembler, generate_binary
 from repro.analysis import build_cfg
 from repro.isa.opcodes import FlowKind
@@ -44,25 +42,32 @@ def main() -> None:
                 break
         return best
 
-    # Build the call graph: direct call edges plus pointer-table edges.
-    callgraph = nx.DiGraph()
-    callgraph.add_nodes_from(entries)
+    # Build the call graph (caller entry -> callee entries) from the
+    # direct call edges.
+    callees: dict[int, set[int]] = {entry: set() for entry in entries}
     indirect_callsites = 0
     for offset in result.instruction_starts:
         instruction = superset.at(offset)
         if instruction.flow is FlowKind.CALL:
             target = instruction.branch_target
             if target in result.function_entries:
-                callgraph.add_edge(function_of(offset), target)
+                callees[function_of(offset)].add(target)
         elif instruction.flow is FlowKind.ICALL:
             indirect_callsites += 1
 
-    print(f"direct call edges: {callgraph.number_of_edges()}, "
+    edges = sum(len(targets) for targets in callees.values())
+    print(f"direct call edges: {edges}, "
           f"indirect call sites: {indirect_callsites}")
 
     # Which functions are NOT reachable through direct calls from the
     # entry point?  Those are exactly what naive tools miss.
-    direct_reachable = nx.descendants(callgraph, 0) | {0}
+    direct_reachable: set[int] = set()
+    stack = [0]
+    while stack:
+        entry = stack.pop()
+        if entry not in direct_reachable:
+            direct_reachable.add(entry)
+            stack.extend(callees.get(entry, ()))
     indirect_only = [e for e in entries if e not in direct_reachable]
     print(f"functions reachable only indirectly: {len(indirect_only)}")
     for entry in indirect_only[:5]:

@@ -137,6 +137,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("lint: a binary is required unless --list-rules is given",
               file=sys.stderr)
         return 2
+    lint_config = LintConfig(disabled=tuple(args.disable or ()))
+    try:
+        DEFAULT_REGISTRY.select(disabled=lint_config.disabled)
+    except KeyError as error:
+        print(f"lint: {error.args[0]}", file=sys.stderr)
+        return 2
     try:
         image = _load_image(Path(args.binary))
     except FormatError as error:
@@ -147,17 +153,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                                 record_provenance=args.provenance)
     disassembler = Disassembler(config=config)
     rich = disassembler.disassemble_rich(binary)
-    try:
-        lint_config = LintConfig(disabled=tuple(args.disable or ()))
-        report = lint_disassembly(rich.result, binary.text.data,
-                                  config=lint_config,
-                                  hints=image.hints,
-                                  text_addr=binary.text.addr,
-                                  facts=rich.facts,
-                                  provenance=rich.provenance)
-    except KeyError as error:
-        print(f"unknown rule: {error.args[0]}", file=sys.stderr)
-        return 2
+    report = lint_disassembly(rich.result, binary.text.data,
+                              config=lint_config, hints=image.hints,
+                              text_addr=binary.text.addr, facts=rich.facts,
+                              provenance=rich.provenance)
 
     if args.format == "json":
         print(report.to_json(indent=2))

@@ -1,11 +1,14 @@
 """Shared, precomputed state every lint rule reads.
 
 Rules need the same handful of views over a disassembly claim: a
-per-byte classification, the accepted instruction at or covering an
-offset, branch cross-references among accepted instructions, and the
-structural shapes (ASCII runs, padding runs, pointer-table candidates)
-of the raw bytes.  Computing them once here keeps each rule a short
-declarative check.
+per-byte classification, the accepted instructions, branch
+cross-references among them, and the structural shapes (ASCII runs,
+padding runs, pointer-table candidates) of the raw bytes.  Computing
+them once here keeps each rule a short declarative check.
+
+Every view is a whole-section pass: per-byte views are slices written
+once per claimed range, the accepted instructions are columns, and the
+byte-shape scans are memoised per section, shared by every claim.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..analysis.cfg import ControlFlowGraph, build_cfg
+import numpy as np
+
+from ..analysis.cfg import ControlFlowGraph, build_cfg, flow_in
 from ..formats.hints import FormatHints
 from ..isa.instruction import Instruction
 from ..isa.opcodes import FlowKind
 from ..result import DisassemblyResult
-from ..stats.datamodel import (AsciiRun, TableCandidate, find_ascii_runs,
-                               find_jump_tables, find_padding_runs)
+from ..stats.datamodel import TableCandidate, find_padding_runs
 from ..superset.superset import Superset
 
 
@@ -31,6 +35,20 @@ class ByteClaim(enum.IntEnum):
     CODE_START = 1
     CODE_INTERIOR = 2
     DATA = 3
+
+
+#: Claim bytes for slice writes and span tests.
+INTERIOR = bytes((ByteClaim.CODE_INTERIOR,))
+DATA = bytes((ByteClaim.DATA,))
+CODE = bytes((ByteClaim.CODE_START,)) + INTERIOR
+
+#: Landing claim of a fall-through that leaves the section.
+PAST_END = -1
+
+#: Flows whose fall-through is exempt from the fall-through rules: a
+#: noreturn callee legitimately leaves data after its call site, and a
+#: trap (int3) never proceeds.
+EXEMPT_FLOWS = (FlowKind.CALL, FlowKind.ICALL, FlowKind.TRAP)
 
 
 @dataclass
@@ -87,23 +105,28 @@ class LintContext:
         Data claims are written first so that a (bogus) overlap between
         an accepted instruction and a data region surfaces as code bytes
         for the cross-reference rules; the dedicated overlap rule
-        reports the conflict itself from the raw result.
+        reports the conflict itself from the raw result.  Later
+        instructions in result order overwrite earlier ones.
         """
-        claims = bytearray(len(self.text))
+        size = len(self.text)
+        claims = bytearray(size)
         for start, end in self.result.data_regions:
-            for i in range(max(start, 0), min(end, len(claims))):
-                claims[i] = ByteClaim.DATA
+            start, end = max(start, 0), min(end, size)
+            if start < end:
+                claims[start:end] = DATA * (end - start)
         for start, length in self.result.instructions.items():
-            if not 0 <= start < len(claims):
+            if not 0 <= start < size:
                 continue
             claims[start] = ByteClaim.CODE_START
-            for i in range(start + 1, min(start + length, len(claims))):
-                claims[i] = ByteClaim.CODE_INTERIOR
+            end = min(start + length, size)
+            if end > start + 1:
+                claims[start + 1:end] = INTERIOR * (end - start - 1)
         return claims
 
-    def claim_at(self, offset: int) -> ByteClaim:
+    def claim_at(self, offset: int) -> int:
+        """The :class:`ByteClaim` value of one byte (UNCLAIMED outside)."""
         if 0 <= offset < len(self.claims):
-            return ByteClaim(self.claims[offset])
+            return self.claims[offset]
         return ByteClaim.UNCLAIMED
 
     def is_accepted_start(self, offset: int) -> bool:
@@ -111,6 +134,31 @@ class LintContext:
 
     def is_data(self, offset: int) -> bool:
         return self.claim_at(offset) == ByteClaim.DATA
+
+    def only(self, start: int, end: int, claims: bytes) -> bool:
+        """Every byte of ``[start, end)`` (``start >= 0``) holds one of
+        ``claims``, e.g. :data:`CODE`; vacuously true when empty."""
+        return not self.claims[start:end].translate(None, claims)
+
+    @cached_property
+    def covering_start(self) -> list[int | None]:
+        """Per byte: the accepted start covering it (the last in result
+        order), or None."""
+        size = len(self.text)
+        covering: list[int | None] = [None] * size
+        for start, length in self.result.instructions.items():
+            lo, hi = max(start, 0), min(start + length, size)
+            if lo < hi:
+                covering[lo:hi] = [start] * (hi - lo)
+        return covering
+
+    def data_region_at(self, offset: int) -> tuple[int, int]:
+        """The last claimed data region holding ``offset`` (a one-byte
+        region when none does)."""
+        for start, end in reversed(self.result.data_regions):
+            if max(start, 0) <= offset < end:
+                return start, end
+        return offset, offset + 1
 
     # ------------------------------------------------------------------
     # Accepted instructions
@@ -121,48 +169,18 @@ class LintContext:
         return sorted(self.result.instructions)
 
     @cached_property
-    def accepted(self) -> dict[int, Instruction]:
-        """Accepted starts that decode, mapped to their instructions."""
-        accepted = {}
-        for start in self.sorted_starts:
-            instruction = self.superset.at(start)
-            if instruction is not None:
-                accepted[start] = instruction
-        return accepted
-
-    @cached_property
-    def covering_start(self) -> dict[int, int]:
-        """Every claimed code byte -> the accepted start covering it."""
-        covering = {}
-        for start, length in self.result.instructions.items():
-            for i in range(start, min(start + length, len(self.text))):
-                covering[i] = start
-        return covering
-
-    @cached_property
-    def data_region_at(self) -> dict[int, tuple[int, int]]:
-        """Every claimed data byte -> its maximal [start, end) region."""
-        regions = {}
-        for start, end in self.result.data_regions:
-            for i in range(max(start, 0), min(end, len(self.text))):
-                regions[i] = (start, end)
-        return regions
-
-    # ------------------------------------------------------------------
-    # Cross-references among accepted instructions
-    # ------------------------------------------------------------------
+    def cfg(self) -> ControlFlowGraph:
+        """The accepted starts that decode, as columns and blocks."""
+        return build_cfg(self.superset, self.result.instructions)
 
     @cached_property
     def branch_sites(self) -> list[tuple[int, Instruction, int]]:
         """(site, instruction, target) for accepted direct jumps/calls."""
-        sites = []
-        for start, ins in self.accepted.items():
-            if not ins.is_direct_branch:
-                continue
-            target = ins.branch_target
-            if target is not None:
-                sites.append((start, ins, target))
-        return sites
+        cfg = self.cfg
+        sites = cfg.starts[cfg.branches].tolist()
+        return list(zip(sites,
+                        map(self.superset.instructions.__getitem__, sites),
+                        cfg.targets[cfg.branches].tolist()))
 
     @cached_property
     def referenced_targets(self) -> set[int]:
@@ -173,25 +191,31 @@ class LintContext:
         candidates found in claimed data bytes.  Used by the orphan rule
         as "has any incoming reference".
         """
-        referenced: set[int] = set()
-        for _, _, target in self.branch_sites:
-            referenced.add(target)
-        for start, ins in self.accepted.items():
-            rip_target = ins.rip_target
-            if rip_target is not None:
-                referenced.add(rip_target)
+        cfg = self.cfg
+        referenced = set(cfg.targets[cfg.branches].tolist())
+        referenced.update(cfg.rips[cfg.has_rip].tolist())
         referenced |= self.result.function_entries
         for table in self.data_table_candidates:
             referenced.update(table.targets)
         return referenced
 
+    @cached_property
+    def fallthroughs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, landings, claims)`` of the accepted instructions
+        that fall through, except :data:`EXEMPT_FLOWS`; ``claims`` holds
+        each landing byte's claim, or :data:`PAST_END`."""
+        cfg = self.cfg
+        checked = cfg.falls & ~flow_in(cfg.flows, EXEMPT_FLOWS)
+        landings = cfg.ends[checked]
+        inside = landings < len(self.text)
+        claims = np.full(len(landings), PAST_END, np.int16)
+        claims[inside] = np.frombuffer(self.claims,
+                                       np.uint8)[landings[inside]]
+        return cfg.starts[checked], landings, claims
+
     # ------------------------------------------------------------------
     # Structural shapes of the raw bytes
     # ------------------------------------------------------------------
-
-    @cached_property
-    def ascii_runs(self) -> list[AsciiRun]:
-        return find_ascii_runs(self.text)
 
     @cached_property
     def padding_runs(self) -> list[tuple[int, int]]:
@@ -199,42 +223,9 @@ class LintContext:
                                  padding_bytes=(0xCC, 0x00, 0x90))
 
     @cached_property
-    def table_candidates(self) -> list[TableCandidate]:
-        """Aligned pointer-run candidates anywhere in the section."""
-        return find_jump_tables(self.text,
-                                is_plausible_target=self.superset.is_valid)
-
-    @cached_property
     def data_table_candidates(self) -> list[TableCandidate]:
         """Table candidates lying (mostly) in claimed data bytes."""
-        chosen = []
-        for table in self.table_candidates:
-            span = range(table.start, table.end)
-            data = sum(1 for i in span if self.is_data(i))
-            if 2 * data >= len(span):
-                chosen.append(table)
-        return chosen
-
-    # ------------------------------------------------------------------
-    # Control-flow graph over the accepted set
-    # ------------------------------------------------------------------
-
-    @cached_property
-    def cfg(self) -> ControlFlowGraph:
-        return build_cfg(self.superset, set(self.accepted))
-
-    # ------------------------------------------------------------------
-    # Flow helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def stops_execution(ins: Instruction) -> bool:
-        """Fall-through past ``ins`` is impossible or conventional.
-
-        CALL/ICALL fall-throughs are exempted because a noreturn callee
-        legitimately leaves data after the call site; TRAP (int3) never
-        proceeds; the NO_FALLTHROUGH kinds have no fall-through at all.
-        """
-        return (not ins.falls_through
-                or ins.flow in (FlowKind.CALL, FlowKind.ICALL,
-                                FlowKind.TRAP))
+        claims = self.claims
+        return [table for table in self.superset.table_candidates
+                if 2 * claims.count(DATA, table.start, table.end)
+                >= table.end - table.start]

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from ..analysis.idioms import prologue_score
 from ..isa.opcodes import FlowKind
-from .context import ByteClaim, LintContext
+from ..stats.scoring import terminated_ascii_runs
+from .context import CODE, DATA, PAST_END, ByteClaim, LintContext
 from .diagnostics import Diagnostic, Severity
 from .registry import DEFAULT_REGISTRY as R
 
@@ -85,7 +88,7 @@ def check_code_data_overlap(ctx: LintContext,
     for region_start, region_end in ctx.result.data_regions:
         overlap = [i for i in range(max(region_start, 0),
                                     min(region_end, len(ctx.text)))
-                   if i in covering]
+                   if covering[i] is not None]
         if overlap:
             yield Diagnostic(
                 "code-data-overlap", severity, overlap[0], overlap[-1] + 1,
@@ -120,7 +123,7 @@ def check_branch_into_instruction(ctx: LintContext,
     for site, ins, target in ctx.branch_sites:
         if not 0 <= target < len(ctx.text):
             continue
-        start = covering.get(target)
+        start = covering[target]
         if start is not None and start != target:
             yield Diagnostic(
                 "branch-into-instruction", severity, target, target + 1,
@@ -136,7 +139,7 @@ def check_branch_into_data(ctx: LintContext,
         if not 0 <= target < len(ctx.text):
             continue
         if ctx.is_data(target):
-            region = ctx.data_region_at.get(target, (target, target + 1))
+            region = ctx.data_region_at(target)
             yield Diagnostic(
                 "branch-into-data", severity, target, target + 1,
                 f"{ins.display_mnemonic} at {site:#x} targets {target:#x}, "
@@ -149,27 +152,26 @@ def check_branch_into_data(ctx: LintContext,
             "middle of another instruction")
 def check_dangling_fallthrough(ctx: LintContext,
                                severity: Severity) -> Iterator[Diagnostic]:
-    for start, ins in ctx.accepted.items():
-        if ctx.stops_execution(ins):
-            continue
-        landing = ins.end
-        if landing >= len(ctx.text):
+    starts, landings, claims = ctx.fallthroughs
+    hits = np.isin(claims, (PAST_END, ByteClaim.DATA,
+                            ByteClaim.CODE_INTERIOR))
+    for start, landing, claim in zip(starts[hits].tolist(),
+                                     landings[hits].tolist(),
+                                     claims[hits].tolist()):
+        if claim == PAST_END:
             yield Diagnostic(
                 "dangling-fallthrough", severity, start, len(ctx.text),
                 f"instruction at {start:#x} falls through past the end "
                 f"of the section")
-            continue
-        claim = ctx.claim_at(landing)
-        if claim == ByteClaim.DATA:
-            region = ctx.data_region_at.get(landing,
-                                            (landing, landing + 1))
+        elif claim == ByteClaim.DATA:
+            region = ctx.data_region_at(landing)
             yield Diagnostic(
                 "dangling-fallthrough", severity, start, landing + 1,
                 f"instruction at {start:#x} falls through into the data "
                 f"region {region[0]:#x}-{region[1]:#x} with no "
                 f"intervening terminator")
-        elif claim == ByteClaim.CODE_INTERIOR:
-            covering = ctx.covering_start.get(landing, landing)
+        else:
+            covering = ctx.covering_start[landing]
             yield Diagnostic(
                 "dangling-fallthrough", severity, start, landing + 1,
                 f"instruction at {start:#x} falls through into the "
@@ -180,16 +182,14 @@ def check_dangling_fallthrough(ctx: LintContext,
             "accepted instruction falls through into unclaimed bytes")
 def check_fallthrough_unclaimed(ctx: LintContext,
                                 severity: Severity) -> Iterator[Diagnostic]:
-    for start, ins in ctx.accepted.items():
-        if ctx.stops_execution(ins):
-            continue
-        landing = ins.end
-        if landing < len(ctx.text) \
-                and ctx.claim_at(landing) == ByteClaim.UNCLAIMED:
-            yield Diagnostic(
-                "fallthrough-unclaimed", severity, start, landing + 1,
-                f"instruction at {start:#x} falls through into bytes "
-                f"claimed neither code nor data")
+    starts, landings, claims = ctx.fallthroughs
+    hits = claims == ByteClaim.UNCLAIMED
+    for start, landing in zip(starts[hits].tolist(),
+                              landings[hits].tolist()):
+        yield Diagnostic(
+            "fallthrough-unclaimed", severity, start, landing + 1,
+            f"instruction at {start:#x} falls through into bytes "
+            f"claimed neither code nor data")
 
 
 # ----------------------------------------------------------------------
@@ -283,13 +283,9 @@ def check_table_targets(ctx: LintContext,
             "NUL-terminated ASCII run fully accepted as instructions")
 def check_string_as_code(ctx: LintContext,
                          severity: Severity) -> Iterator[Diagnostic]:
-    for run in ctx.ascii_runs:
-        if not run.terminated or run.length < MIN_STRING_RUN:
-            continue
-        span = range(run.start, min(run.end, len(ctx.text)))
-        if all(ctx.claim_at(i) in (ByteClaim.CODE_START,
-                                   ByteClaim.CODE_INTERIOR)
-               for i in span):
+    for run in terminated_ascii_runs(ctx.text):
+        if run.length >= MIN_STRING_RUN \
+                and ctx.only(run.start, run.end, CODE):
             yield Diagnostic(
                 "string-as-code", severity, run.start, run.end,
                 f"{run.length}-byte NUL-terminated ASCII run at "
@@ -301,13 +297,9 @@ def check_string_as_code(ctx: LintContext,
             "aligned pointer-array run fully accepted as instructions")
 def check_pointer_run_as_code(ctx: LintContext,
                               severity: Severity) -> Iterator[Diagnostic]:
-    for table in ctx.table_candidates:
-        span = range(table.start, min(table.end, len(ctx.text)))
-        if len(span) < 12:
-            continue
-        if all(ctx.claim_at(i) in (ByteClaim.CODE_START,
-                                   ByteClaim.CODE_INTERIOR)
-               for i in span):
+    for table in ctx.superset.table_candidates:
+        if min(table.end, len(ctx.text)) - table.start >= 12 \
+                and ctx.only(table.start, table.end, CODE):
             yield Diagnostic(
                 "pointer-run-as-code", severity, table.start, table.end,
                 f"{table.entry_count}-entry pointer run at "
@@ -325,18 +317,17 @@ def check_pointer_run_as_code(ctx: LintContext,
 def check_orphan_code(ctx: LintContext,
                       severity: Severity) -> Iterator[Diagnostic]:
     cfg = ctx.cfg
+    starts = cfg.starts
     referenced = ctx.referenced_targets
-    for block_start in sorted(cfg.blocks):
-        if block_start == 0:
-            continue     # conventional entry point
-        if cfg.predecessors(block_start):
+    for index in np.flatnonzero(cfg.leaders & ~cfg.entered
+                                & (starts != 0)).tolist():
+        start = int(starts[index])
+        if start in referenced:
             continue
-        if block_start in referenced:
-            continue
-        block = cfg.blocks[block_start]
+        end = int(cfg.ends[cfg.walk(index)[-1]])
         yield Diagnostic(
-            "orphan-code", severity, block_start, block.end,
-            f"accepted block {block_start:#x}-{block.end:#x} has no "
+            "orphan-code", severity, start, end,
+            f"accepted block {start:#x}-{end:#x} has no "
             f"incoming branch, fall-through, table entry, or claimed "
             f"function entry", suggestion="data")
 
@@ -350,13 +341,8 @@ def check_orphan_code(ctx: LintContext,
 def check_padding_as_code(ctx: LintContext,
                          severity: Severity) -> Iterator[Diagnostic]:
     for start, end in ctx.padding_runs:
-        if end - start < MIN_INT3_RUN or ctx.text[start] != 0xCC:
-            continue
-        span = range(start, min(end, len(ctx.text)))
-        accepted = sum(1 for i in span
-                       if ctx.claim_at(i) in (ByteClaim.CODE_START,
-                                              ByteClaim.CODE_INTERIOR))
-        if accepted == len(span):
+        if end - start >= MIN_INT3_RUN and ctx.text[start] == 0xCC \
+                and ctx.only(start, end, CODE):
             yield Diagnostic(
                 "padding-as-code", severity, start, end,
                 f"{end - start}-byte int3 padding run at {start:#x} is "
@@ -368,10 +354,7 @@ def check_padding_as_code(ctx: LintContext,
 def check_padding_as_data(ctx: LintContext,
                          severity: Severity) -> Iterator[Diagnostic]:
     for start, end in ctx.padding_runs:
-        if end - start < MIN_PADDING_RUN:
-            continue
-        span = range(start, min(end, len(ctx.text)))
-        if all(ctx.is_data(i) for i in span):
+        if end - start >= MIN_PADDING_RUN and ctx.only(start, end, DATA):
             yield Diagnostic(
                 "padding-as-data", severity, start, end,
                 f"{end - start}-byte padding run at {start:#x} is "

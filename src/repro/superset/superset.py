@@ -204,6 +204,13 @@ class Superset:
         return chain
 
     @cached_property
+    def table_candidates(self) -> list:
+        """Pointer-table candidates with decodable targets, scanned
+        once per section for every claim linted over it."""
+        from ..stats.datamodel import find_jump_tables
+        return find_jump_tables(self.text, is_plausible_target=self.is_valid)
+
+    @cached_property
     def windows(self) -> ChainWindows:
         """The chain windows of every valid offset (built once)."""
         return ChainWindows(self, self.valid_offsets, self.valid_offsets)
@@ -260,6 +267,20 @@ class ChainWindows:
         #: Instructions in each root's window, and the last one's position.
         self.length = (self.steps < m).sum(axis=0)
         self.last = self.steps[self.length - 1, np.arange(len(roots))]
+
+    @cached_property
+    def relative_targets(self) -> tuple[np.ndarray, ...]:
+        """Per encoding: has a direct jump/call target, that target minus
+        the offset, has a RIP-relative target, that one minus the offset
+        (0 where absent; decoding is position independent)."""
+        columns = []
+        for targets in ([ins.branch_target if ins.is_direct_branch else None
+                         for ins in self.encodings],
+                        list(map(attrgetter("rip_target"), self.encodings))):
+            columns += [np.array([t is not None for t in targets], bool),
+                        np.array([0 if t is None else t - ins.offset for t, ins
+                                  in zip(targets, self.encodings)], np.int64)]
+        return tuple(columns)
 
     def attribute(self, name: str, dtype, convert=None) -> np.ndarray:
         """Attribute ``name`` (through ``convert``) of every encoding."""

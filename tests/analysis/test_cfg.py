@@ -146,3 +146,21 @@ class TestBasicBlocks:
                      for i in b.instructions]
         assert len(in_blocks) == len(set(in_blocks))
         assert set(in_blocks) == accepted
+
+
+class TestAgainstReference:
+    def test_blocks_and_edges_match_the_per_instruction_reference(
+            self, all_cases):
+        from tests.lint.context_oracle import blocks_and_predecessors
+        for case in all_cases:
+            superset = Superset.build(case.text)
+            # A claim with overlapping and undecodable starts as well.
+            for accepted in (case.truth.instruction_starts,
+                             set(range(0, len(case.text), 3))):
+                cfg = build_cfg(superset, accepted)
+                blocks, predecessors = blocks_and_predecessors(superset,
+                                                               accepted)
+                assert {start: block.instructions
+                        for start, block in cfg.blocks.items()} == blocks
+                assert {start: set(cfg.predecessors(start))
+                        for start in cfg.blocks} == predecessors

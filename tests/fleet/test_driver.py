@@ -110,16 +110,47 @@ def test_traced_pooled_run_is_one_trace(small_manifest, models, tmp_path,
     assert (tmp_path / "run" / "trend.json").read_text() == reference
 
     # Worker spans come home from other processes and hang under the
-    # caller's span: every worker-side root re-parents onto it.
+    # run's span, which hangs under the caller's: every worker-side
+    # root is a fleet-item span and re-parents onto the run.
+    (run,) = [s for s in tracer.finished if s.name == "fleet-run"]
+    assert run.parent_id == caller.span_id
     workers = [s for s in tracer.finished if s.pid != os.getpid()]
     assert workers
     worker_ids = {s.span_id for s in workers}
-    assert all(s.parent_id == caller.span_id for s in workers
-               if s.parent_id not in worker_ids)
+    worker_roots = [s for s in workers if s.parent_id not in worker_ids]
+    assert {s.name for s in worker_roots} == {"fleet-item"}
+    assert all(s.parent_id == run.span_id for s in worker_roots)
     summary = validate_jsonl(path)
     assert summary["traces"] == 1
+    assert summary["roots"] == 1
     assert summary["pids"] > 1
     assert summary["dangling_parents"] == 0
+
+
+def test_traced_serial_run_is_one_tree(small_manifest, models, tmp_path):
+    path = tmp_path / "fleet.jsonl"
+    with activate(path) as tracer:
+        run_fleet(small_manifest, tmp_path / "run",
+                  FleetConfig(shard_size=2))
+    summary = validate_jsonl(path)
+    assert summary["roots"] == 1
+    assert summary["dangling_parents"] == 0
+    spans = {s.span_id: s for s in tracer.finished}
+    (run,) = [s for s in spans.values() if s.parent_id is None]
+    assert run.name == "fleet-run"
+    items = [s for s in spans.values() if s.name == "fleet-item"]
+    assert len(items) == len(small_manifest)
+    assert all(s.parent_id == run.span_id for s in items)
+
+    def item_of(span):
+        while span.name != "fleet-item":
+            span = spans[span.parent_id]
+        return span
+
+    # Each item's three lint passes sit under that item.
+    lint = [s for s in spans.values() if s.name.startswith("lint:")]
+    assert lint
+    assert all(item_of(s) in items for s in lint)
 
 
 def test_driver_resolves_analyze_item_at_call_time(small_manifest, models,

@@ -171,7 +171,19 @@ class TestLint:
         code = main(["lint", str(generated.with_suffix(".bin")),
                      "--disable", "no-such-rule"])
         assert code == 2
-        assert "unknown rule" in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == "lint: unknown lint rule: no-such-rule\n"
+
+    def test_unknown_disable_fails_before_disassembly(self, generated,
+                                                      monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("disassembled before validating --disable")
+
+        monkeypatch.setattr(Disassembler, "disassemble_rich", refuse)
+        assert main(["lint", str(generated.with_suffix(".bin")),
+                     "--disable", "orphan-code",
+                     "--disable", "no-such-rule"]) == 2
+        assert "no-such-rule" in capsys.readouterr().err
 
     def test_fail_on_threshold_controls_exit(self, generated, capsys):
         binary = str(generated.with_suffix(".bin"))
