@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..baselines import (heuristic_descent, linear_sweep,
@@ -32,7 +31,8 @@ from ..binary.loader import TestCase
 from ..core.config import DisassemblerConfig
 from ..core.disassembler import Disassembler
 from ..obs.metrics import REGISTRY
-from ..obs.trace import SpanContext, Tracer, activate, current_tracer
+from ..obs.trace import (SpanContext, Tracer, activate, current_tracer,
+                         span_if_tracing)
 from ..result import DisassemblyResult
 from ..superset.superset import cached_superset
 from .metrics import Evaluation, aggregate, evaluate
@@ -120,23 +120,16 @@ def run_tool(spec: ToolSpec, case: TestCase) -> DisassemblyResult:
     return disassembler_for(spec).disassemble(case)
 
 
-def _pair_span(spec: ToolSpec, case: TestCase):
-    """An ``eval-pair`` span when tracing, else a no-op context."""
-    tracer = current_tracer()
-    if tracer is None:
-        return nullcontext()
-    return tracer.span("eval-pair", tool=spec.name, case=case.name)
-
-
 def _evaluate_pair(pair: tuple[ToolSpec, TestCase]) -> Evaluation:
     spec, case = pair
-    with _pair_span(spec, case):
+    with span_if_tracing("eval-pair", tool=spec.name, case=case.name):
         return evaluate(run_tool(spec, case), case.truth)
 
 
 def _predict_pair(pair: tuple[ToolSpec, TestCase]) -> DisassemblyResult:
-    with _pair_span(*pair):
-        return run_tool(*pair)
+    spec, case = pair
+    with span_if_tracing("eval-pair", tool=spec.name, case=case.name):
+        return run_tool(spec, case)
 
 
 def _run_chunk(fn, items: list, ctx: dict | None) -> tuple[list, list]:

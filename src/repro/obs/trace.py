@@ -34,7 +34,7 @@ import os
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -305,6 +305,12 @@ def current_tracer() -> Tracer | None:
 
 def tracing_active() -> bool:
     return current_tracer() is not None
+
+
+def span_if_tracing(name: str, **attrs):
+    """A ``name`` span when tracing, else a no-op context."""
+    tracer = current_tracer()
+    return nullcontext() if tracer is None else tracer.span(name, **attrs)
 
 
 def trace_path_from_env() -> str | None:
