@@ -1,4 +1,4 @@
-"""Code idiom recognition: prologues, epilogues, padding.
+"""Code idiom recognition: function prologues.
 
 Compilers emit highly stereotyped function openings; recognizing them at
 aligned offsets (especially right after padding runs) yields
@@ -9,7 +9,6 @@ function-boundary identification.
 from __future__ import annotations
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import FlowKind
 from ..isa.operands import ImmOp, RegOp
 from ..isa.registers import RBP, RSP
 from ..superset.superset import Superset
@@ -19,6 +18,9 @@ PROLOGUE_THRESHOLD = 2
 
 #: Function start alignment assumed wherever prologues are looked for.
 FUNCTION_ALIGNMENT = 16
+
+#: Fall-through instructions a prologue match examines.
+PROLOGUE_LOOKAHEAD = 4
 
 
 def _is_push_rbp(ins: Instruction) -> bool:
@@ -54,15 +56,14 @@ def _is_endbr(ins: Instruction) -> bool:
     return ins.mnemonic == "nop" and ins.raw[:1] == b"\xf3"
 
 
-def prologue_score(superset: Superset, offset: int, *,
-                   lookahead: int = 4) -> int:
+def prologue_score(superset: Superset, offset: int) -> int:
     """How strongly the candidate chain at ``offset`` opens a function.
 
     0 means "not a prologue"; 2+ is a confident match (canonical
     push rbp / mov rbp, rsp pairs, endbr landing pads followed by frame
     setup, or frameless sub rsp openings).
     """
-    chain = superset.fallthrough_chain(offset, lookahead)
+    chain = superset.fallthrough_chain(offset, PROLOGUE_LOOKAHEAD)
     if not chain:
         return 0
     score = 0
@@ -87,29 +88,11 @@ def prologue_score(superset: Superset, offset: int, *,
     return score
 
 
-def is_epilogue_end(ins: Instruction) -> bool:
-    """ret / tail-jump: ends a function body."""
-    return ins.flow in (FlowKind.RET, FlowKind.JUMP, FlowKind.IJUMP)
-
-
-def padding_kind(text: bytes, offset: int) -> str | None:
-    """Classify the byte at ``offset`` as a typical padding byte."""
-    byte = text[offset]
-    if byte == 0xCC:
-        return "int3"
-    if byte == 0x00:
-        return "zero"
-    if byte == 0x90:
-        return "nop"
-    return None
-
-
-def likely_function_starts(superset: Superset, *,
-                           threshold: int = PROLOGUE_THRESHOLD) -> list[int]:
+def likely_function_starts(superset: Superset) -> list[int]:
     """Aligned offsets whose candidate chain looks like a prologue."""
     starts = []
     for offset in range(0, len(superset), FUNCTION_ALIGNMENT):
         if superset.is_valid(offset) and \
-                prologue_score(superset, offset) >= threshold:
+                prologue_score(superset, offset) >= PROLOGUE_THRESHOLD:
             starts.append(offset)
     return starts

@@ -48,39 +48,23 @@ def probabilistic_disassembly(text: bytes, entry: int = 0, *,
 
     dead = _invalid_closure(superset)
     p_data = np.ones(size)
-    alive = [offset for offset in superset.valid_offsets
-             if not dead[offset]]
-    windows = superset.windows
-    defuse_pairs = dict(zip(windows.roots.tolist(),
-                            chain_counts(windows).defuse_pairs.tolist()))
+    alive, convergence, calls, defuse, edges = _hint_inputs(superset, dead)
 
-    # Hint collection.
-    for offset in alive:
-        strength = 1.0
-        convergence = len(superset.direct_predecessors.get(offset, ()))
-        if convergence >= 2:
-            strength *= (1 - HINT_CONVERGENCE)
-        if offset in superset.direct_call_targets:
-            strength *= (1 - HINT_CALL_TARGET)
-        strength *= (1 - HINT_DEFUSE) ** min(defuse_pairs[offset], 3)
-        p_data[offset] = strength
+    # Hint collection: one factor per hint, multiplied in a fixed order
+    # (convergence, call target, def-use) so rounding never varies.
+    p_data[alive] = (np.where(convergence >= 2, 1 - HINT_CONVERGENCE, 1.0)
+                     * np.where(calls, 1 - HINT_CALL_TARGET, 1.0)
+                     * _DEFUSE_FACTORS[np.minimum(defuse, 3)])
     if 0 <= entry < size and not dead[entry]:
         p_data[entry] = 0.0
 
     # Forward propagation along forced flow (a few passes suffice).
-    # Successor sets and ``dead`` are static during propagation, so the
-    # (in-range, non-dead) successor lists are computed once up front.
-    forced = [tuple(s for s in superset.successors(offset)
-                    if s < size and not dead[s])
-              for offset in alive]
     for _ in range(3):
         changed = False
-        for offset, successors in zip(alive, forced):
-            value = p_data[offset]
-            for successor in successors:
-                if p_data[successor] > value:
-                    p_data[successor] = value
-                    changed = True
+        for offset, successor in edges:
+            if p_data[successor] > p_data[offset]:
+                p_data[successor] = p_data[offset]
+                changed = True
         if not changed:
             break
 
@@ -92,7 +76,7 @@ def probabilistic_disassembly(text: bytes, entry: int = 0, *,
     p_code[dead] = 0.0
     instructions = superset.instructions
     accepted = {}
-    for offset in alive:
+    for offset in alive.tolist():
         if p_data[offset] >= threshold:
             continue
         mine = p_code[offset]
@@ -116,6 +100,49 @@ def probabilistic_disassembly(text: bytes, entry: int = 0, *,
                              instructions=accepted,
                              data_regions=data_regions,
                              function_entries=set())
+
+
+#: ``(1 - HINT_DEFUSE) ** k`` for the 0-3 def-use pairs that count.
+_DEFUSE_FACTORS = np.array([(1 - HINT_DEFUSE) ** k for k in range(4)])
+
+
+def _hint_inputs(superset: Superset, dead: np.ndarray):
+    """What the hints and the propagation read, from the superset's
+    chain-window columns.
+
+    Returns the alive offsets (decodable, not dead) in order, and per
+    alive offset the number of in-section direct branches landing on
+    it, whether a direct call lands on it, and its def-use pair count;
+    then the forced edges ``(offset, successor)`` out of alive offsets
+    into live in-section ones -- fall-through first, then the direct
+    target -- in offset order.
+    """
+    size = len(superset)
+    windows = superset.windows
+    starts = windows.offsets
+    m = len(starts)
+    kinds = windows.kinds[:m]
+    has_target, relative = (column[kinds]
+                            for column in windows.relative_targets[:2])
+    targets = starts + relative
+    branches = has_target & (targets >= 0) & (targets < size)
+    calls = np.zeros(size, bool)
+    calls[targets[branches & (windows.flows[kinds] == FlowKind.CALL)]] = True
+    convergence = np.bincount(targets[branches], minlength=size)
+
+    live = ~dead[starts]
+    alive = starts[live]
+    blocked = np.append(dead, True)     # the section end is no successor
+    ends = windows.ends[:m]
+    jumps = np.where(branches, targets, size)
+    falls = live & windows.falls[:m] & ~blocked[ends]
+    jumped = live & ~blocked[jumps]
+    sources = np.concatenate([starts[falls], starts[jumped]])
+    successors = np.concatenate([ends[falls], jumps[jumped]])
+    order = np.argsort(sources, kind="stable")
+    edges = list(zip(sources[order].tolist(), successors[order].tolist()))
+    return (alive, convergence[alive], calls[alive],
+            chain_counts(windows).defuse_pairs[live], edges)
 
 
 #: Flows whose successors the decoder cannot enumerate; such candidates

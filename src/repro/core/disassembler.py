@@ -153,7 +153,7 @@ class Disassembler:
         # tracing stay ANCHOR.  The entry point (anchor) and aligned
         # prologues (idiom) ride in through the same ingestion step.
         with phase_span("tables", timings):
-            tables = self._validated_tables(text, superset, scores)
+            tables = self._validated_tables(superset, scores)
             if prologues is None:
                 prologues = likely_function_starts(superset)
             engine.ingest(tables,
@@ -237,10 +237,14 @@ class Disassembler:
         engine.feedback(claims)
         return self._finalize(engine, superset, tables, entry)
 
-    def _validated_tables(self, text: bytes, superset: Superset,
+    def _validated_tables(self, superset: Superset,
                           scores: np.ndarray) -> list[TableCandidate]:
         """Detected tables whose targets actually look like code."""
-        tables = find_jump_tables(text, is_plausible_target=superset.is_valid)
+        tables = find_jump_tables(superset.text,
+                                  is_plausible_target=superset.is_valid)
+        # The superset's own scan (same section, same predicate): a lint
+        # over this superset reads it rather than scanning again.
+        superset.table_candidates = tables
         validated = []
         for table in tables:
             target_scores = [float(scores[t]) for t in table.targets]

@@ -11,12 +11,12 @@ uses, and re-runs correction in full on them.
 
 The support windows are conservative byte bounds:
 
-* a superset candidate at ``o`` reads at most ``_RUN_FAST_WINDOW``
-  bytes ahead of ``o`` (the decode-window bound);
+* a superset candidate at ``o`` reads at most ``DECODE_WINDOW``
+  bytes ahead of ``o``;
 * a statistical or behavioral score at ``o`` examines a fall-through
   chain of at most ``CHAIN_WINDOW`` instructions plus one decode
   window -- ``CHAIN_WINDOW * MAX_INSTRUCTION_LENGTH +
-  _RUN_FAST_WINDOW`` bytes;
+  DECODE_WINDOW`` bytes;
 * ASCII-run membership can shift far from a patch (a new NUL
   terminates a long printable run), so penalty arrays of old and new
   text are compared directly and differing offsets are rescored too.
@@ -40,7 +40,7 @@ from ...obs.metrics import REGISTRY
 from ...obs.provenance import ProvenanceLog
 from ...obs.trace import current_tracer, phase_span
 from ...superset import superset as superset_mod
-from ...superset.superset import CHAIN_WINDOW, _RUN_FAST_WINDOW, Superset
+from ...superset.superset import CHAIN_WINDOW, DECODE_WINDOW, Superset
 from ..config import DisassemblerConfig
 
 _INCREMENTAL = REGISTRY.counter(
@@ -151,9 +151,9 @@ def _patch_prologues(old: list[int], superset: Superset,
                      ranges: list[tuple[int, int]]) -> list[int]:
     """Re-test the prologue idiom only at dirty aligned offsets.
 
-    ``prologue_score`` reads a fall-through chain of at most four
-    instructions (< one score dirty window), so aligned offsets
-    outside ``ranges`` keep their old verdict.
+    ``prologue_score`` reads a fall-through chain of at most
+    ``PROLOGUE_LOOKAHEAD`` instructions (< one score dirty window), so
+    aligned offsets outside ``ranges`` keep their old verdict.
     """
     from ...analysis.idioms import (FUNCTION_ALIGNMENT, PROLOGUE_THRESHOLD,
                                     prologue_score)
@@ -182,7 +182,7 @@ def _patch_superset(old: Superset, text: bytes,
     if len(text) > len(instructions):
         instructions.extend([None] * (len(text) - len(instructions)))
     decode = superset_mod.try_decode
-    for start, end in _dirty_ranges(spans, _RUN_FAST_WINDOW - 1,
+    for start, end in _dirty_ranges(spans, DECODE_WINDOW - 1,
                                     len(text)):
         for offset in range(start, end):
             instructions[offset] = decode(text, offset)
@@ -236,7 +236,7 @@ def disassemble_incremental(disassembler, base: FactBase, target,
 
     timings = timings if timings is not None else {}
     provenance = ProvenanceLog() if config.record_provenance else None
-    score_back = CHAIN_WINDOW * MAX_INSTRUCTION_LENGTH + _RUN_FAST_WINDOW
+    score_back = CHAIN_WINDOW * MAX_INSTRUCTION_LENGTH + DECODE_WINDOW
     score_ranges = _dirty_ranges(spans, score_back, len(text))
     stats.dirty_ranges = score_ranges
 

@@ -31,8 +31,7 @@ from ...isa.opcodes import FlowKind
 from ...obs.metrics import REGISTRY
 from ...stats.datamodel import TableCandidate
 from ..evidence import Classification, Priority
-from ..tables import (ResolvedTable, resolve_indirect_call,
-                      resolve_indirect_jump)
+from ..tables import ResolvedTable, resolve_dispatch
 from .facts import (CodeClaim, DataClaim, PendingCall, RegionFact,
                     TraceResult)
 
@@ -296,22 +295,10 @@ class TraceRule(Rule):
                 target = instruction.branch_target
                 if target is not None and 0 <= target < state.size:
                     worklist.append((target, depth + 1))
-            elif instruction.flow is FlowKind.IJUMP \
+            elif instruction.flow in (FlowKind.IJUMP, FlowKind.ICALL) \
                     and engine.config.use_table_resolution:
-                table = resolve_indirect_jump(engine.superset,
-                                              engine.image,
-                                              state.is_code_start,
-                                              instruction)
-                if table is not None:
-                    result.resolved_tables.append(table)
-                else:
-                    result.unresolved_dispatches.add(offset)
-            elif instruction.flow is FlowKind.ICALL \
-                    and engine.config.use_table_resolution:
-                table = resolve_indirect_call(engine.superset,
-                                              engine.image,
-                                              state.is_code_start,
-                                              instruction)
+                table = resolve_dispatch(engine.superset, engine.image,
+                                         state.is_code_start, instruction)
                 if table is not None:
                     result.resolved_tables.append(table)
                 else:
@@ -405,16 +392,8 @@ class DispatchRetryRule(Rule):
             if instruction is None or \
                     not engine.state.is_code_start(offset):
                 continue
-            if instruction.flow is FlowKind.IJUMP:
-                table = resolve_indirect_jump(engine.superset,
-                                              engine.image,
-                                              engine.state.is_code_start,
-                                              instruction)
-            else:
-                table = resolve_indirect_call(engine.superset,
-                                              engine.image,
-                                              engine.state.is_code_start,
-                                              instruction)
+            table = resolve_dispatch(engine.superset, engine.image,
+                                     engine.state.is_code_start, instruction)
             if table is not None:
                 store.unresolved_dispatches.discard(offset)
                 store.bump("dispatches")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from ..binary.image import MemoryImage
 from ..isa.instruction import Instruction
+from ..isa.opcodes import FlowKind
 from ..isa.operands import ImmOp, MemOp, RegOp
 from ..superset.superset import Superset
 
@@ -96,39 +97,25 @@ def _indexed_table_operand(ins: Instruction) -> MemOp | None:
     return None
 
 
-def _read_absolute_entries(image: MemoryImage, address: int,
-                           text_size: int, superset: Superset,
-                           bound: int | None) -> tuple[int, ...]:
+def _read_entries(image: MemoryImage, address: int, entry_size: int,
+                  superset: Superset, bound: int | None) -> tuple[int, ...]:
+    """The targets of a table at ``address``: absolute 8-byte entries,
+    or 4-byte entries relative to the table start.
+
+    For in-text tables the table address is also the table's text
+    offset, so relative entries resolve the same in both placements.
+    """
+    read, base = ((image.read_u64, 0) if entry_size == 8
+                  else (image.read_i32, address))
     limit = bound if bound is not None else MAX_UNBOUNDED_ENTRIES
     targets: list[int] = []
     for i in range(limit):
-        value = image.read_u64(address + 8 * i)
-        if value is None or not 0 <= value < text_size \
-                or not superset.is_valid(value):
+        value = read(address + entry_size * i)
+        if value is None or not superset.is_valid(base + value):
             if bound is not None:
                 return ()   # a bounded table must be fully plausible
             break
-        targets.append(value)
-    return tuple(targets)
-
-
-def _read_relative_entries(image: MemoryImage, address: int,
-                           text_size: int, superset: Superset,
-                           bound: int | None) -> tuple[int, ...]:
-    # Entries are relative to the table start; for in-text tables the
-    # table address is also the table's text offset, so the same
-    # arithmetic applies in both placements.
-    limit = bound if bound is not None else MAX_UNBOUNDED_ENTRIES
-    targets: list[int] = []
-    for i in range(limit):
-        value = image.read_i32(address + 4 * i)
-        target = address + value if value is not None else None
-        if target is None or not 0 <= target < text_size \
-                or not superset.is_valid(target):
-            if bound is not None:
-                return ()
-            break
-        targets.append(target)
+        targets.append(base + value)
     return tuple(targets)
 
 
@@ -136,15 +123,13 @@ def resolve_indirect_jump(superset: Superset, image: MemoryImage,
                           accepted, dispatch: Instruction
                           ) -> ResolvedTable | None:
     """Resolve ``jmp [T + idx*8]`` or the lea/movsxd/add/jmp-reg idiom."""
-    text_size = len(superset)
     chain = backward_chain(superset, accepted, dispatch.offset)
     bound = _bound_from_cmp(chain)
 
     operand = _indexed_table_operand(dispatch)
     if operand is not None and operand.scale == 8:
         address = operand.disp & 0xFFFFFFFF
-        targets = _read_absolute_entries(image, address, text_size,
-                                         superset, bound)
+        targets = _read_entries(image, address, 8, superset, bound)
         if len(targets) >= 2:
             return ResolvedTable(address=address, entry_size=8,
                                  targets=targets,
@@ -158,8 +143,7 @@ def resolve_indirect_jump(superset: Superset, image: MemoryImage,
     table_base = _relative_table_base(chain)
     if table_base is None:
         return None
-    targets = _read_relative_entries(image, table_base, text_size,
-                                     superset, bound)
+    targets = _read_entries(image, table_base, 4, superset, bound)
     if len(targets) >= 2:
         return ResolvedTable(address=table_base, entry_size=4,
                              targets=targets,
@@ -210,8 +194,7 @@ def resolve_indirect_call(superset: Superset, image: MemoryImage,
                 or src.index is None or src.rip_relative or src.scale != 8:
             continue
         address = src.disp & 0xFFFFFFFF
-        targets = _read_absolute_entries(image, address, len(superset),
-                                         superset, bound)
+        targets = _read_entries(image, address, 8, superset, bound)
         if len(targets) >= 2:
             return ResolvedTable(address=address, entry_size=8,
                                  targets=targets,
@@ -220,3 +203,11 @@ def resolve_indirect_call(superset: Superset, image: MemoryImage,
                                  dispatch=dispatch.offset)
         return None
     return None
+
+
+def resolve_dispatch(superset: Superset, image: MemoryImage, accepted,
+                     dispatch: Instruction) -> ResolvedTable | None:
+    """Resolve the table behind a confirmed indirect jump or call."""
+    if dispatch.flow is FlowKind.IJUMP:
+        return resolve_indirect_jump(superset, image, accepted, dispatch)
+    return resolve_indirect_call(superset, image, accepted, dispatch)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..obs.metrics import REGISTRY
 from ..obs.provenance import ProvenanceLog
@@ -10,7 +10,7 @@ from ..obs.trace import current_tracer
 from ..result import DisassemblyResult
 from ..superset.superset import Superset, cached_superset
 from .context import LintContext
-from .diagnostics import LintReport, Severity
+from .diagnostics import LintReport
 from .registry import DEFAULT_REGISTRY, RuleRegistry
 
 # Importing the rule module attaches the built-in battery to
@@ -25,12 +25,10 @@ class LintConfig:
     Attributes:
         enabled: rule ids to run (None = every registered rule).
         disabled: rule ids removed from the selection.
-        severity_overrides: per-rule severity rebindings.
     """
 
     enabled: tuple[str, ...] | None = None
     disabled: tuple[str, ...] = ()
-    severity_overrides: dict[str, Severity] = field(default_factory=dict)
 
 
 DEFAULT_LINT_CONFIG = LintConfig()
@@ -58,8 +56,7 @@ class Linter:
         report = LintReport(tool=context.result.tool)
         for rule in self.registry.select(
                 enabled=self.config.enabled,
-                disabled=self.config.disabled,
-                severity_overrides=self.config.severity_overrides):
+                disabled=self.config.disabled):
             report.rules_run.append(rule.id)
             if tracer is not None:
                 with tracer.span(f"lint:{rule.id}") as span:

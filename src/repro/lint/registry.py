@@ -65,31 +65,18 @@ class RuleRegistry:
         return list(self._rules)
 
     def select(self, *, enabled: Iterable[str] | None = None,
-               disabled: Iterable[str] = (),
-               severity_overrides: dict[str, Severity] | None = None
-               ) -> list[LintRule]:
+               disabled: Iterable[str] = ()) -> list[LintRule]:
         """The rules one lint run should execute, in registration order.
 
         ``enabled=None`` means "all registered rules"; otherwise only the
         listed ids run.  ``disabled`` removes ids from that selection.
-        ``severity_overrides`` rebinds per-rule severities for the run.
-        Unknown ids in any argument raise ``KeyError`` (typo safety).
+        Unknown ids in either argument raise ``KeyError`` (typo safety).
         """
-        for rule_id in (*([] if enabled is None else enabled), *disabled,
-                        *(severity_overrides or {})):
+        for rule_id in (*([] if enabled is None else enabled), *disabled):
             self.get(rule_id)
         chosen = (self._rules if enabled is None else set(enabled))
-        overrides = severity_overrides or {}
-        selected = []
-        for rule in self._rules.values():
-            if rule.id not in chosen or rule.id in set(disabled):
-                continue
-            severity = overrides.get(rule.id, rule.severity)
-            if severity is not rule.severity:
-                rule = LintRule(rule.id, severity, rule.description,
-                                rule.check)
-            selected.append(rule)
-        return selected
+        return [rule for rule in self._rules.values()
+                if rule.id in chosen and rule.id not in set(disabled)]
 
 
 #: The registry all built-in rules attach to (populated by

@@ -87,19 +87,23 @@ class TableCandidate:
         return (self.end - self.start) // self.entry_size
 
 
+#: Fewest consecutive plausible entries that make a table candidate.
+MIN_TABLE_ENTRIES = 3
+
+
 def _read(blob: bytes, offset: int, size: int) -> int:
     return int.from_bytes(blob[offset:offset + size], "little")
 
 
-def find_jump_tables(text: bytes, *, min_entries: int = 3,
+def find_jump_tables(text: bytes, *,
                      is_plausible_target=None) -> list[TableCandidate]:
     """Detect runs of aligned pointers into the text section.
 
-    Absolute tables: >= ``min_entries`` consecutive 8-byte little-endian
-    values each inside [0, len(text)).  Self-relative tables: 4-byte
-    values v such that start+v lies inside the section.  An optional
-    ``is_plausible_target`` predicate (e.g. "decodes to a valid
-    instruction") filters noise.
+    Absolute tables: >= :data:`MIN_TABLE_ENTRIES` consecutive 8-byte
+    little-endian values each inside [0, len(text)).  Self-relative
+    tables: 4-byte values v such that start+v lies inside the section.
+    An optional ``is_plausible_target`` predicate (e.g. "decodes to a
+    valid instruction") filters noise.
 
     Overlapping candidates are resolved greedily, longest-first.
     """
@@ -125,7 +129,7 @@ def find_jump_tables(text: bytes, *, min_entries: int = 3,
                 break
             targets.append(value)
             cursor += 8
-        if len(targets) >= min_entries:
+        if len(targets) >= MIN_TABLE_ENTRIES:
             candidates.append(TableCandidate(offset, cursor, 8,
                                              tuple(targets)))
             offset = cursor
@@ -152,7 +156,7 @@ def find_jump_tables(text: bytes, *, min_entries: int = 3,
                 break
             targets.append(target)
             cursor += 4
-        if len(targets) >= min_entries:
+        if len(targets) >= MIN_TABLE_ENTRIES:
             candidates.append(TableCandidate(offset, cursor, 4,
                                              tuple(targets)))
             offset = cursor

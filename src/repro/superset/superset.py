@@ -10,70 +10,28 @@ the paper's approach.
 from __future__ import annotations
 
 import functools
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
 
-from ..isa import decoder as _decoder
-from ..isa.decoder import try_decode
+from ..isa.decoder import decoder_backend, try_decode
 from ..isa.instruction import Instruction
-from ..isa.opcodes import NO_FALLTHROUGH, FlowKind
-from ..isa.operands import MemOp, RelOp
+from ..isa.opcodes import NO_FALLTHROUGH
 from ..isa.tables import MAX_INSTRUCTION_LENGTH
 from ..obs.metrics import REGISTRY
 
-#: Identical bytes that must remain ahead of an offset before its decode
-#: is guaranteed byte-for-byte identical (shifted) to the next offset's.
-#: The decoder never commits to a result after reading more than
-#: MAX_INSTRUCTION_LENGTH + a bounded overrun of prefix/immediate bytes,
-#: so doubling the architectural limit is a safely conservative window.
-_RUN_FAST_WINDOW = 2 * MAX_INSTRUCTION_LENGTH + 2
-
-#: Maximal repeated-byte runs long enough to contain fast-path offsets:
-#: a run matched at [s, e) has its first ``e - s - _RUN_FAST_WINDOW``
-#: offsets still looking at ``_RUN_FAST_WINDOW`` identical bytes ahead.
-#: Scanning for runs once up front (in C, via the regex engine) keeps
-#: the per-offset sweep free of any run bookkeeping.
-_RUN_RE = re.compile(rb"(.)\1{%d,}" % _RUN_FAST_WINDOW, re.DOTALL)
+#: Bytes the decoder may read from an offset before it commits to a
+#: result: the architectural limit plus a bounded overrun of
+#: prefix/immediate bytes, doubled to stay safely conservative.
+#: Changing a byte changes no candidate further than this behind it.
+DECODE_WINDOW = 2 * MAX_INSTRUCTION_LENGTH + 2
 
 #: Instructions in the fall-through window (:class:`ChainWindows`) that
 #: statistical and behavioral scoring examine per candidate.
 CHAIN_WINDOW = 6
-
-
-def _shifted(ins: Instruction, delta: int) -> Instruction:
-    """The same encoding decoded ``delta`` bytes away: every absolute
-    position (offset, branch targets, RIP-relative targets) moves by
-    ``delta``; everything else is unchanged.
-
-    This runs once per fast-path offset deep inside repeated-byte runs
-    (alignment padding, NUL regions), so the shifted instruction is
-    built by copying the field dict instead of re-running the frozen
-    dataclass constructor.
-    """
-    shifted = dict(ins.__dict__)
-    shifted["offset"] = ins.offset + delta
-    operands = ins.operands
-    new_ops = None
-    for i, op in enumerate(operands):
-        if type(op) is RelOp:
-            if new_ops is None:
-                new_ops = list(operands)
-            new_ops[i] = RelOp(op.target + delta)
-        elif type(op) is MemOp and op.rip_relative \
-                and op.target is not None:
-            if new_ops is None:
-                new_ops = list(operands)
-            new_ops[i] = replace(op, target=op.target + delta)
-    if new_ops is not None:
-        shifted["operands"] = tuple(new_ops)
-    clone = Instruction.__new__(Instruction)
-    object.__setattr__(clone, "__dict__", shifted)
-    return clone
 
 
 @dataclass
@@ -87,40 +45,11 @@ class Superset:
     def build(cls, text: bytes) -> Superset:
         """Decode a candidate at every offset (None where decoding fails).
 
-        Long repeated-byte runs (alignment padding, NUL regions) take a
-        fast path: deep inside such a run every offset sees an identical
-        byte window, so its candidate is the next offset's candidate
-        shifted by one byte -- no repeated decoding.  Runs are located
-        up front with one regex scan, and the section is then built
-        right to left region by region so each shifted clone's
-        prototype already exists.
+        The decoder is read through this module's ``try_decode`` at
+        call time, so the ``REPRO_DECODER`` seam and test doubles apply.
         """
-        n = len(text)
-        instructions: list[Instruction | None] = [None] * n
-        dec = try_decode
-        # Segment the section once: the per-offset sweep is a bare
-        # ``map(dec, ...)`` (the loop runs in C; ``dec`` returns the
-        # candidate or None directly), and only offsets deep inside a
-        # repeated-byte run pay the shift-clone path instead.
-        pos = n
-        for match in reversed(list(_RUN_RE.finditer(text))):
-            start = match.start()
-            fast_hi = match.end() - _RUN_FAST_WINDOW
-            instructions[fast_hi:pos] = map(dec, repeat(text),
-                                            range(fast_hi, pos))
-            for offset in range(fast_hi - 1, start - 1, -1):
-                prototype = instructions[offset + 1]
-                instructions[offset] = (None if prototype is None
-                                        else _shifted(prototype, -1))
-            pos = start
-        instructions[0:pos] = map(dec, repeat(text), range(pos))
-        if dec is _decoder.try_decode_interp:
-            backend = "interp"
-        elif dec is _decoder.try_decode:
-            backend = _decoder.decoder_backend()
-        else:  # a test double patched in via this module's try_decode
-            backend = "patched"
-        _DECODED_OFFSETS.inc(n, backend=backend)
+        instructions = list(map(try_decode, repeat(text), range(len(text))))
+        _DECODED_OFFSETS.inc(len(text), backend=decoder_backend())
         return cls(text=text, instructions=instructions)
 
     def __len__(self) -> int:
@@ -145,51 +74,6 @@ class Superset:
         return frozenset(o for o, ins in enumerate(self.instructions)
                          if ins is None)
 
-    # ------------------------------------------------------------------
-    # Successor structure
-    # ------------------------------------------------------------------
-
-    def successors(self, offset: int) -> list[int]:
-        """Execution successors of the candidate at ``offset``.
-
-        Fall-through (if any) plus the direct branch target (if any and
-        within the section).  Indirect flows contribute no successors.
-        """
-        ins = self.at(offset)
-        if ins is None:
-            return []
-        result = []
-        if ins.falls_through:
-            result.append(ins.end)
-        target = ins.branch_target
-        if target is not None and 0 <= target < len(self.text):
-            result.append(target)
-        return result
-
-    @cached_property
-    def direct_predecessors(self) -> dict[int, list[int]]:
-        """offset -> candidates that branch directly to it."""
-        preds: dict[int, list[int]] = {}
-        for offset, ins in enumerate(self.instructions):
-            if ins is None:
-                continue
-            target = ins.branch_target
-            if target is not None and 0 <= target < len(self.text):
-                preds.setdefault(target, []).append(offset)
-        return preds
-
-    @cached_property
-    def direct_call_targets(self) -> dict[int, int]:
-        """target offset -> number of candidate call sites reaching it."""
-        counts: dict[int, int] = {}
-        for ins in self.instructions:
-            if ins is None or ins.flow is not FlowKind.CALL:
-                continue
-            target = ins.branch_target
-            if target is not None and 0 <= target < len(self.text):
-                counts[target] = counts.get(target, 0) + 1
-        return counts
-
     def fallthrough_chain(self, offset: int, limit: int) -> list[Instruction]:
         """Up to ``limit`` candidates following only fall-through edges.
 
@@ -206,7 +90,8 @@ class Superset:
     @cached_property
     def table_candidates(self) -> list:
         """Pointer-table candidates with decodable targets, scanned
-        once per section for every claim linted over it."""
+        once per section for every claim linted over it.  A
+        disassembly of this superset stores its own scan here."""
         from ..stats.datamodel import find_jump_tables
         return find_jump_tables(self.text, is_plausible_target=self.is_valid)
 

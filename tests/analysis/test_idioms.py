@@ -1,8 +1,7 @@
-"""Tests for prologue/padding idiom recognition."""
+"""Tests for prologue idiom recognition."""
 
 from repro.analysis.idioms import (PROLOGUE_THRESHOLD,
-                                   likely_function_starts, padding_kind,
-                                   prologue_score)
+                                   likely_function_starts, prologue_score)
 from repro.isa import Assembler
 from repro.isa.registers import RAX, RBP, RBX, RSP
 from repro.superset import Superset
@@ -53,15 +52,6 @@ class TestPrologueScore:
             1 for f in msvc_case.truth.functions
             if prologue_score(msvc_superset, f.entry) >= PROLOGUE_THRESHOLD)
         assert hits / len(msvc_case.truth.functions) > 0.6
-
-
-class TestPaddingKind:
-    def test_kinds(self):
-        text = b"\xcc\x00\x90\x55"
-        assert padding_kind(text, 0) == "int3"
-        assert padding_kind(text, 1) == "zero"
-        assert padding_kind(text, 2) == "nop"
-        assert padding_kind(text, 3) is None
 
 
 class TestLikelyFunctionStarts:

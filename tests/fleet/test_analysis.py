@@ -61,3 +61,25 @@ def test_unreachable_server_is_quarantined():
         via="serve", server="127.0.0.1:1")
     assert report["status"] == "failed"
     assert "TransportError" in report["error"]
+
+
+def test_one_item_scans_for_pointer_tables_once(small_manifest, monkeypatch):
+    # The disassembler scans the section; the three lints read its scan.
+    from repro.core import disassembler
+    from repro.stats import datamodel
+    from repro.superset.superset import cached_superset
+    scans = []
+
+    def counted(scan):
+        def counting(*args, **kwargs):
+            scans.append(1)
+            return scan(*args, **kwargs)
+        return counting
+
+    for module in (disassembler, datamodel):
+        monkeypatch.setattr(module, "find_jump_tables",
+                            counted(module.find_jump_tables))
+    cached_superset.cache_clear()
+    report = analyze_item(small_manifest.items[0].to_dict())
+    assert report["status"] == "ok"
+    assert len(scans) == 1

@@ -44,14 +44,6 @@ class TestConfigPlumbing:
         assert not any(d.rule == "fallthrough-unclaimed" for d in quiet)
         assert "fallthrough-unclaimed" not in quiet.rules_run
 
-    def test_severity_override_applies(self):
-        config = LintConfig(
-            enabled=("fallthrough-unclaimed",),
-            severity_overrides={"fallthrough-unclaimed": Severity.ERROR})
-        report = lint_disassembly(CLAIM, TEXT, config=config)
-        assert report.diagnostics
-        assert all(d.severity is Severity.ERROR for d in report)
-
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError, match="unknown lint rule"):
             lint_disassembly(CLAIM, TEXT,

@@ -63,14 +63,6 @@ class TestSelect:
             registry.select(enabled=["a", "zzz"])
         with pytest.raises(KeyError):
             registry.select(disabled=["zzz"])
-        with pytest.raises(KeyError):
-            registry.select(severity_overrides={"zzz": Severity.INFO})
-
-    def test_severity_override_rebinds_without_mutating(self):
-        registry = sample_registry()
-        selected = registry.select(severity_overrides={"a": Severity.INFO})
-        assert selected[0].severity is Severity.INFO
-        assert registry.get("a").severity is Severity.ERROR
 
 
 class TestBuiltinBattery:

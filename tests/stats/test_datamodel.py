@@ -60,7 +60,7 @@ class TestJumpTableDetector:
         text = bytearray(b"\x90" * 32)
         text[8:16] = (4).to_bytes(8, "little")
         text[16:24] = (8).to_bytes(8, "little")
-        assert not [t for t in find_jump_tables(bytes(text), min_entries=3)
+        assert not [t for t in find_jump_tables(bytes(text))
                     if t.entry_size == 8 and t.start == 8]
 
     def test_target_filter(self):

@@ -35,59 +35,6 @@ class TestConstruction:
         assert superset.valid_offsets == []
 
 
-class TestSuccessors:
-    def test_fallthrough_successor(self):
-        superset = build(lambda a: (a.nop(1), a.ret()))
-        assert superset.successors(0) == [1]
-
-    def test_ret_has_no_successors(self):
-        superset = build(lambda a: (a.ret(), a.ret()))
-        assert superset.successors(0) == []
-
-    def test_cjump_has_two_successors(self):
-        a = Assembler()
-        a.jcc("e", "out")
-        a.nop(1)
-        a.bind("out")
-        a.ret()
-        superset = Superset.build(a.finish())
-        assert sorted(superset.successors(0)) == [6, 7]
-
-    def test_call_successors_include_fallthrough_and_target(self):
-        a = Assembler()
-        a.call("f")
-        a.ret()
-        a.bind("f")
-        a.ret()
-        superset = Superset.build(a.finish())
-        assert sorted(superset.successors(0)) == [5, 6]
-
-    def test_out_of_section_target_excluded(self):
-        superset = Superset.build(b"\xeb\x7f\xc3")   # jmp +0x7f
-        assert superset.successors(0) == []
-
-
-class TestPredecessorsAndTargets:
-    def test_direct_predecessors(self):
-        a = Assembler()
-        a.jmp("x")          # 5 bytes
-        a.bind("x")
-        a.ret()
-        superset = Superset.build(a.finish())
-        assert 0 in superset.direct_predecessors[5]
-
-    def test_call_target_counts(self):
-        a = Assembler()
-        a.call("f")
-        a.call("f")
-        a.ret()
-        a.bind("f")
-        a.ret()
-        superset = Superset.build(a.finish())
-        target = superset.at(0).branch_target
-        assert superset.direct_call_targets[target] >= 2
-
-
 class TestChains:
     def test_chain_stops_at_terminator(self):
         superset = build(lambda a: (a.nop(1), a.nop(1), a.ret(), a.nop(1)))
@@ -104,8 +51,8 @@ class TestChains:
         assert len(chain) == 1
 
 
-class TestRepeatedRunFastPath:
-    """Long identical-byte runs must decode exactly like the naive path."""
+class TestRepeatedRuns:
+    """Long identical-byte runs decode exactly like a per-offset decode."""
 
     def naive(self, text: bytes):
         from repro.isa.decoder import try_decode
@@ -125,7 +72,7 @@ class TestRepeatedRunFastPath:
 
     def test_relative_branch_run_shifts_targets(self):
         # 0xEB decodes as jmp rel8: every offset in the run has a
-        # *different* absolute target, which the fast path must shift.
+        # *different* absolute target.
         text = b"\xeb" * 64 + b"\x90" * 64
         superset = Superset.build(text)
         naive = self.naive(text)
@@ -139,5 +86,5 @@ class TestRepeatedRunFastPath:
     def test_run_at_start_of_text(self):
         self.assert_equivalent(b"\xcc" * 60 + b"\xc3")
 
-    def test_short_runs_take_slow_path_and_agree(self):
+    def test_short_runs_agree(self):
         self.assert_equivalent(b"\x00" * 16 + b"\xcc" * 16 + b"\x90" * 16)
