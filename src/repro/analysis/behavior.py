@@ -23,9 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..isa.instruction import Instruction
+from ..isa.columns import flow_in
 from ..isa.opcodes import FlowKind
-from ..isa.operands import RegOp
 from ..isa.registers import (R8, R9, RAX, RBP, RBX, RCX, RDI, RDX, RSI, RSP,
                              R12, R13, R14, R15)
 from ..superset.superset import CHAIN_WINDOW, ChainWindows, Superset
@@ -63,17 +62,6 @@ _LIVE = np.uint16(_mask(CONVENTIONALLY_LIVE))
 _CALL_DEFINED = np.uint16(_mask(frozenset({RAX, RSP, RBP})))
 
 
-def _is_zeroing_idiom(instruction: Instruction) -> bool:
-    """xor r, r (or sub r, r): defines the register without reading it."""
-    if instruction.mnemonic not in ("xor", "sub"):
-        return False
-    operands = instruction.operands
-    return (len(operands) == 2
-            and isinstance(operands[0], RegOp)
-            and isinstance(operands[1], RegOp)
-            and operands[0].register.family == operands[1].register.family)
-
-
 class ChainCounts(NamedTuple):
     """Per-root integer counts over each chain window."""
 
@@ -88,20 +76,16 @@ class ChainCounts(NamedTuple):
 
 def chain_counts(windows: ChainWindows) -> ChainCounts:
     """Def-use, flag, trap and rare counts of every window."""
-    reads = windows.attribute("reads", np.uint16, _mask)
-    mnemonics = windows.attribute("mnemonic", object)
-    for kind in np.flatnonzero((mnemonics == "xor") | (mnemonics == "sub")):
-        if _is_zeroing_idiom(windows.encodings[kind]):
-            reads[kind] = 0
-    reads = windows.column(reads)
-    writes = windows.column(windows.attribute("writes", np.uint16, _mask))
-    flows = windows.flows
-    is_call = windows.column((flows == FlowKind.CALL)
-                             | (flows == FlowKind.ICALL))
-    trap = windows.column((flows == FlowKind.TRAP) | (flows == FlowKind.HALT))
-    rare = windows.column(windows.attribute("rare", np.bool_))
-    reads_flags = windows.column(windows.attribute("reads_flags", np.bool_))
-    writes_flags = windows.column(windows.attribute("writes_flags", np.bool_))
+    # A zeroing idiom defines its register without reading it.
+    reads = np.where(windows.column("zeroing"), 0, windows.column("reads"))
+    writes = windows.column("writes")
+    # The sentinel row's flow code (SEQ) is neither a call nor a trap.
+    flows = windows.column("flow")
+    is_call = flow_in(flows, (FlowKind.CALL, FlowKind.ICALL))
+    trap = flow_in(flows, (FlowKind.TRAP, FlowKind.HALT))
+    rare = windows.column("rare")
+    reads_flags = windows.column("reads_flags")
+    writes_flags = windows.column("writes_flags")
 
     defined = np.zeros(len(windows.roots), np.uint16)
     flags_defined = np.zeros(len(windows.roots), np.bool_)

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..isa.columns import flow_in
 from ..isa.instruction import Instruction
 from ..isa.opcodes import FlowKind
 from ..superset.superset import Superset
@@ -26,11 +27,6 @@ BLOCK_ENDS = (FlowKind.JUMP, FlowKind.CJUMP, FlowKind.IJUMP, FlowKind.RET,
 
 #: Flows whose direct target is an intraprocedural edge.
 JUMPS = (FlowKind.JUMP, FlowKind.CJUMP)
-
-
-def flow_in(flows: np.ndarray, kinds) -> np.ndarray:
-    """Mask of the ``flows`` entries that are one of ``kinds``."""
-    return np.logical_or.reduce([flows == kind for kind in kinds])
 
 
 @dataclass
@@ -53,9 +49,9 @@ class ControlFlowGraph:
     """The basic blocks of an accepted set and the edges among them.
 
     ``starts`` are the decodable accepted starts in offset order;
-    ``ends``, ``flows``, ``falls``, ``targets`` (where ``branches``) and
-    ``rips`` (where ``has_rip``) are read from ``superset.windows``,
-    shared by every claim over the section.  Leaders are
+    ``ends``, ``flows`` (flow codes), ``falls``, ``targets`` (where
+    ``branches``) and ``rips`` (where ``has_rip``) are read from the
+    superset's columns.  Leaders are
     direct-branch targets, starts after a block-ending flow, and starts
     with no sequential fall-through predecessor.  Calls fall through;
     their targets lead blocks, but call edges are not CFG edges.
@@ -63,16 +59,15 @@ class ControlFlowGraph:
 
     def __init__(self, superset: Superset, starts: list[int]) -> None:
         self.superset = superset
-        windows = superset.windows
-        position = np.searchsorted(windows.offsets, starts)
-        kinds = windows.kinds[position]
-        self.starts = starts = windows.offsets[position]
-        self.ends = ends = windows.ends[position]
-        self.flows = flows = windows.flows[kinds]
-        self.falls = falls = windows.falls[position]
-        self.branches, targets, self.has_rip, rips = (
-            column[kinds] for column in windows.relative_targets)
-        self.targets, self.rips = starts + targets, starts + rips
+        columns = superset.columns
+        self.starts = starts = np.asarray(starts, dtype=np.int64)
+        self.ends = ends = starts + columns.length[starts]
+        self.flows = flows = columns.flow[starts]
+        self.falls = falls = columns.falls[starts]
+        self.branches = columns.has_target[starts]
+        self.targets = columns.target[starts]
+        self.has_rip = columns.has_rip[starts]
+        self.rips = columns.rip[starts]
         ends_block = flow_in(flows, BLOCK_ENDS)
         #: Per start: it leads a block.
         self.leaders = (np.isin(starts, self.targets[self.branches])
@@ -100,8 +95,8 @@ class ControlFlowGraph:
     @cached_property
     def blocks(self) -> dict[int, BasicBlock]:
         starts = self.starts.tolist()
-        instructions = self.superset.instructions
-        return {starts[i]: BasicBlock(starts[i], [instructions[starts[j]]
+        at = self.superset.at
+        return {starts[i]: BasicBlock(starts[i], [at(starts[j])
                                                   for j in self.walk(i)])
                 for i in np.flatnonzero(self.leaders).tolist()}
 
@@ -153,4 +148,4 @@ def build_cfg(superset: Superset, accepted: Iterable[int]
               ) -> ControlFlowGraph:
     """Partition the decodable accepted starts into basic blocks."""
     return ControlFlowGraph(superset, sorted(
-        o for o in accepted if superset.at(o) is not None))
+        o for o in accepted if superset.is_valid(o)))

@@ -8,6 +8,7 @@ function-boundary identification.
 
 from __future__ import annotations
 
+from ..isa.columns import token_names
 from ..isa.instruction import Instruction
 from ..isa.operands import ImmOp, RegOp
 from ..isa.registers import RBP, RSP
@@ -21,6 +22,10 @@ FUNCTION_ALIGNMENT = 16
 
 #: Fall-through instructions a prologue match examines.
 PROLOGUE_LOOKAHEAD = 4
+
+#: Token prefixes of the instructions every scoring pattern opens with
+#: (endbr is a nop; then push rbp, a callee-saved push or sub rsp).
+_OPENERS = ("push:", "sub:", "nop:")
 
 
 def _is_push_rbp(ins: Instruction) -> bool:
@@ -63,9 +68,9 @@ def prologue_score(superset: Superset, offset: int) -> int:
     push rbp / mov rbp, rsp pairs, endbr landing pads followed by frame
     setup, or frameless sub rsp openings).
     """
-    chain = superset.fallthrough_chain(offset, PROLOGUE_LOOKAHEAD)
-    if not chain:
+    if not _may_open(superset, offset):
         return 0
+    chain = superset.fallthrough_chain(offset, PROLOGUE_LOOKAHEAD)
     score = 0
     first = chain[0]
     if _is_endbr(first):
@@ -86,6 +91,22 @@ def prologue_score(superset: Superset, offset: int) -> int:
         if _is_sub_rsp_imm(ins) or _is_push_callee_saved(ins):
             score += 1
     return score
+
+
+def _may_open(superset: Superset, offset: int) -> bool:
+    """Whether the chain at ``offset`` has an opener among its first
+    :data:`PROLOGUE_LOOKAHEAD` candidates (read from the columns; a
+    chain without one scores 0)."""
+    views, names = superset.views, token_names()
+    for _ in range(PROLOGUE_LOOKAHEAD):
+        if not superset.is_valid(offset):
+            return False
+        if names[views.token[offset]].startswith(_OPENERS):
+            return True
+        if not views.falls[offset]:
+            return False
+        offset += views.length[offset]
+    return False
 
 
 def likely_function_starts(superset: Superset) -> list[int]:

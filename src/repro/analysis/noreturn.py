@@ -19,8 +19,14 @@ fixpoint, so mutual panic helpers resolve correctly.
 
 from __future__ import annotations
 
+from ..isa.columns import FLOW_CODES
 from ..isa.opcodes import FlowKind
 from ..superset.superset import Superset
+
+_RET, _HALT, _TRAP, _IJUMP, _JUMP, _CJUMP, _CALL, _ICALL = (
+    FLOW_CODES[kind] for kind in (
+        FlowKind.RET, FlowKind.HALT, FlowKind.TRAP, FlowKind.IJUMP,
+        FlowKind.JUMP, FlowKind.CJUMP, FlowKind.CALL, FlowKind.ICALL))
 
 
 def compute_returning(superset: Superset, targets: set[int], *,
@@ -80,6 +86,8 @@ def _reaches_return(superset: Superset, entry: int,
     out: a ``ret``, a tail jump out of the section, or any flow the
     analysis cannot follow.  ``lookups`` collects ``(jump, key, answer)``
     per lookup of ``resolved_jumps`` (jump) or ``returning``."""
+    views = superset.views
+    size = len(superset)
     seen: set[int] = set()
     stack = [entry]
     while stack:
@@ -87,16 +95,17 @@ def _reaches_return(superset: Superset, entry: int,
         if offset in seen:
             continue
         seen.add(offset)
-        instruction = superset.at(offset)
-        if instruction is None:
+        if not superset.is_valid(offset):
             continue               # undecodable: this path is dead
-        flow = instruction.flow
+        flow = views.flow[offset]
+        end = offset + views.length[offset]
+        target = views.target[offset] if views.has_target[offset] else None
 
-        if flow is FlowKind.RET:
+        if flow == _RET:
             return True
-        if flow in (FlowKind.HALT, FlowKind.TRAP):
+        if flow == _HALT or flow == _TRAP:
             continue               # dead end on this path
-        if flow is FlowKind.IJUMP:
+        if flow == _IJUMP:
             case_targets = resolved_jumps.get(offset)
             lookups.append((True, offset, case_targets))
             if case_targets is None and resolve_dispatch is not None:
@@ -105,9 +114,8 @@ def _reaches_return(superset: Superset, entry: int,
                 return True        # unresolved tail dispatch: assume ok
             stack.extend(case_targets)
             continue
-        if flow is FlowKind.JUMP:
-            target = instruction.branch_target
-            if target is None or not 0 <= target < len(superset):
+        if flow == _JUMP:
+            if target is None or not 0 <= target < size:
                 return True        # jump out of section: assume ok
             if target == entry:
                 continue           # self tail call proves nothing new
@@ -120,27 +128,25 @@ def _reaches_return(superset: Superset, entry: int,
                 continue
             stack.append(target)
             continue
-        if flow is FlowKind.CJUMP:
-            target = instruction.branch_target
-            if target is not None and 0 <= target < len(superset):
+        if flow == _CJUMP:
+            if target is not None and 0 <= target < size:
                 stack.append(target)
-            stack.append(instruction.end)
+            stack.append(end)
             continue
-        if flow is FlowKind.CALL:
-            target = instruction.branch_target
+        if flow == _CALL:
             if target is not None:
                 verdict = returning.get(target)
                 lookups.append((False, target, verdict))
                 if verdict is False:
                     continue
-            stack.append(instruction.end)
+            stack.append(end)
             continue
-        if flow is FlowKind.ICALL:
-            stack.append(instruction.end)
+        if flow == _ICALL:
+            stack.append(end)
             continue
         # Plain sequential flow.
-        if instruction.end < len(superset):
-            stack.append(instruction.end)
+        if end < size:
+            stack.append(end)
         else:
             return True            # falls off the section: assume ok
     return False

@@ -28,19 +28,24 @@ def linear_sweep(text: bytes, entry: int = 0, *,
     candidate decodes (the evaluation driver shares one superset across
     all tools); results are identical either way.
     """
-    decode_at = try_decode if superset is None else (
-        lambda _text, offset: superset.at(offset))
+    if superset is None:
+        def length_at(offset: int) -> int:
+            instruction = try_decode(text, offset)
+            return 0 if instruction is None else instruction.length
+    else:
+        # The length column holds 0 where nothing decodes.
+        length_at = superset.views.length.__getitem__
     instructions: dict[int, int] = {}
     bad: list[int] = []
     offset = 0
     while offset < len(text):
-        instruction = decode_at(text, offset)
-        if instruction is None:
+        length = length_at(offset)
+        if not length:
             bad.append(offset)
             offset += 1
             continue
-        instructions[offset] = instruction.length
-        offset = instruction.end
+        instructions[offset] = length
+        offset += length
 
     return DisassemblyResult(
         tool="linear-sweep",

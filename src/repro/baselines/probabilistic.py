@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.behavior import chain_counts
+from ..isa.columns import FLOW_CODES, flow_in
 from ..isa.opcodes import FlowKind
 from ..result import DisassemblyResult
 from ..superset.superset import Superset, cached_superset
@@ -74,7 +75,7 @@ def probabilistic_disassembly(text: bytes, entry: int = 0, *,
     # over the occlusion set).
     p_code = 1.0 - p_data
     p_code[dead] = 0.0
-    instructions = superset.instructions
+    lengths = superset.views.length
     accepted = {}
     for offset in alive.tolist():
         if p_data[offset] >= threshold:
@@ -82,14 +83,13 @@ def probabilistic_disassembly(text: bytes, entry: int = 0, *,
         mine = p_code[offset]
         overshadowed = False
         for o in range(max(0, offset - 14), offset):
-            covering = instructions[o]
-            if covering is not None and not dead[o] \
-                    and covering.end > offset and p_code[o] > mine:
+            # Dead candidates include every undecodable offset.
+            if not dead[o] and o + lengths[o] > offset and p_code[o] > mine:
                 overshadowed = True
                 break
         if overshadowed:
             continue
-        accepted[offset] = instructions[offset].length
+        accepted[offset] = lengths[offset]
 
     covered = set()
     for start, length in accepted.items():
@@ -118,16 +118,15 @@ def _hint_inputs(superset: Superset, dead: np.ndarray):
     target -- in offset order.
     """
     size = len(superset)
+    columns = superset.columns
     windows = superset.windows
     starts = windows.offsets
     m = len(starts)
-    kinds = windows.kinds[:m]
-    has_target, relative = (column[kinds]
-                            for column in windows.relative_targets[:2])
-    targets = starts + relative
-    branches = has_target & (targets >= 0) & (targets < size)
+    targets = columns.target[starts]
+    branches = columns.has_target[starts] & (targets >= 0) & (targets < size)
     calls = np.zeros(size, bool)
-    calls[targets[branches & (windows.flows[kinds] == FlowKind.CALL)]] = True
+    calls[targets[branches & (columns.flow[starts]
+                              == FLOW_CODES[FlowKind.CALL])]] = True
     convergence = np.bincount(targets[branches], minlength=size)
 
     live = ~dead[starts]
@@ -160,51 +159,42 @@ def _invalid_closure(superset: Superset) -> np.ndarray:
     forced predecessors are re-examined -- so the closure costs one pass
     plus O(edges) instead of repeated full sweeps over the section.
     """
+    columns = superset.columns
     size = len(superset)
-    dead = np.zeros(size, dtype=bool)
-    live_successors = [0] * size            # constrained candidates only
-    predecessors: dict[int, list[int]] = {}
-    worklist: list[int] = []
+    offsets = np.arange(size)
+    valid, falls = columns.valid, columns.falls
+    has_target, target = columns.has_target, columns.target
+    ends = offsets + columns.length
+    # A direct branch outside the section is treated as invalid.
+    outside = has_target & ((target < 0) | (target >= size))
+    constrained = (valid & ~outside & (falls | has_target)
+                   & ~flow_in(columns.flow, _UNCONSTRAINED))
+    # Falling through off the end of the section is fatal too.
+    off_end = constrained & (np.where(falls, ends, target) >= size)
+    dead = ~valid | outside | off_end
+    linked = constrained & ~off_end
+    live_successors = ((falls.astype(np.int64) + has_target) * linked).tolist()
+    sources = np.concatenate([offsets[linked & falls],
+                              offsets[linked & has_target]])
+    successors = np.concatenate([ends[linked & falls],
+                                 target[linked & has_target]])
+    order = np.argsort(successors, kind="stable")
+    predecessors = sources[order].tolist()
+    bounds = np.searchsorted(successors[order],
+                             np.arange(size + 1)).tolist()
 
-    def kill(offset: int) -> None:
-        dead[offset] = True
-        worklist.append(offset)
-
-    for offset, instruction in enumerate(superset.instructions):
-        if instruction is None:
-            kill(offset)
-            continue
-        target = instruction.branch_target
-        if target is not None and not 0 <= target < size:
-            # Direct branch outside the section: treat as invalid.
-            kill(offset)
-            continue
-        if instruction.flow in _UNCONSTRAINED:
-            continue
-        successors = []
-        if instruction.falls_through:
-            successors.append(instruction.end)
-        if target is not None:
-            successors.append(target)
-        if not successors:
-            continue
-        if successors[0] >= size:
-            # Fall-through off the end of the section.
-            kill(offset)
-            continue
-        live_successors[offset] = len(successors)
-        for successor in successors:
-            predecessors.setdefault(successor, []).append(offset)
-
+    dead = dead.tolist()
+    worklist = [o for o in range(size) if dead[o]]
     while worklist:
         victim = worklist.pop()
-        for offset in predecessors.get(victim, ()):
+        for offset in predecessors[bounds[victim]:bounds[victim + 1]]:
             if dead[offset]:
                 continue
             live_successors[offset] -= 1
             if live_successors[offset] == 0:
-                kill(offset)
-    return dead
+                dead[offset] = True
+                worklist.append(offset)
+    return np.array(dead, dtype=bool)
 
 
 def _uncovered(size: int, covered: set[int]) -> list[tuple[int, int]]:

@@ -191,8 +191,8 @@ class Disassembler:
         """Build a :class:`DisassemblyResult` from the engine's state."""
         state = engine.state
         starts = state.instruction_starts()
-        instructions = {offset: superset.at(offset).length
-                        for offset in starts}
+        lengths = superset.columns.length.tobytes()
+        instructions = {offset: lengths[offset] for offset in starts}
         # Resolved pointer tables point at functions by construction;
         # statistically detected 8-byte tables may be jump *or* pointer
         # tables, so their targets must additionally look like openings.
@@ -269,8 +269,7 @@ def combine_scores(config: DisassemblerConfig, superset: Superset,
         scores += behavior
     if not config.use_statistics and not config.use_behavior:
         # Degenerate configuration: fall back to "decodes at all".
-        for offset in superset.valid_offsets:
-            scores[offset] = 0.1
+        scores[superset.valid_offsets] = 0.1
     return scores
 
 

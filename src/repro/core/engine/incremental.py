@@ -12,7 +12,9 @@ uses, and re-runs correction in full on them.
 The support windows are conservative byte bounds:
 
 * a superset candidate at ``o`` reads at most ``DECODE_WINDOW``
-  bytes ahead of ``o``;
+  bytes ahead of ``o`` (the superset's columns are re-decoded, and
+  its built instructions dropped, only within that window of a
+  change);
 * a statistical or behavioral score at ``o`` examines a fall-through
   chain of at most ``CHAIN_WINDOW`` instructions plus one decode
   window -- ``CHAIN_WINDOW * MAX_INSTRUCTION_LENGTH +
@@ -39,7 +41,7 @@ from ...isa.tables import MAX_INSTRUCTION_LENGTH
 from ...obs.metrics import REGISTRY
 from ...obs.provenance import ProvenanceLog
 from ...obs.trace import current_tracer, phase_span
-from ...superset import superset as superset_mod
+from ...isa.columns import decode_columns
 from ...superset.superset import CHAIN_WINDOW, DECODE_WINDOW, Superset
 from ..config import DisassemblerConfig
 
@@ -173,21 +175,22 @@ def _patch_superset(old: Superset, text: bytes,
                     stats: IncrementalStats) -> Superset:
     """Re-decode only offsets whose decode window touches a change.
 
-    Candidates outside the windows are carried over by reference:
-    their bytes are identical, and decoding is a pure function of the
-    bounded byte window.  The decoder is looked up through the superset
-    module so the ``REPRO_DECODER`` seam (and test doubles) apply.
+    Columns outside the windows are carried over: their bytes are
+    identical, and decoding is a pure function of the bounded byte
+    window.  Each window is re-decoded in one array pass and spliced
+    in, and the old superset's built instructions are kept only
+    outside the windows.
     """
-    instructions = list(old.instructions)
-    if len(text) > len(instructions):
-        instructions.extend([None] * (len(text) - len(instructions)))
-    decode = superset_mod.try_decode
-    for start, end in _dirty_ranges(spans, DECODE_WINDOW - 1,
-                                    len(text)):
-        for offset in range(start, end):
-            instructions[offset] = decode(text, offset)
-            stats.redecoded += 1
-    return Superset(text=text, instructions=instructions)
+    columns = old.columns.resized(len(text))
+    dirty = np.zeros(len(text), bool)
+    for start, end in _dirty_ranges(spans, DECODE_WINDOW - 1, len(text)):
+        columns.assign(start, decode_columns(text, start, end))
+        dirty[start:end] = True
+        stats.redecoded += end - start
+    kept = {offset: instruction
+            for offset, instruction in old.built.items()
+            if not dirty[offset]}
+    return Superset(text, columns, kept)
 
 
 def disassemble_incremental(disassembler, base: FactBase, target,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from ...analysis.idioms import FUNCTION_ALIGNMENT, prologue_score
 from ...analysis.noreturn import compute_returning
+from ...isa.columns import FLOW_CODES
 from ...isa.opcodes import FlowKind
 from ...obs.metrics import REGISTRY
 from ...stats.datamodel import TableCandidate
@@ -56,6 +57,12 @@ CHAIN_LIMIT = 40
 #: Largest soft-data residue the realignment pass will consider
 #: converting back into code.
 REALIGN_MAX_SIZE = 15
+
+#: Flow codes of the superset's ``flow`` column that tracing branches on.
+_CALL, _JUMP, _CJUMP, _IJUMP, _ICALL, _TRAP = (
+    FLOW_CODES[kind] for kind in (FlowKind.CALL, FlowKind.JUMP,
+                                  FlowKind.CJUMP, FlowKind.IJUMP,
+                                  FlowKind.ICALL, FlowKind.TRAP))
 
 #: Pipeline metrics, registered with the process-global registry on
 #: import.
@@ -243,6 +250,10 @@ class TraceRule(Rule):
         def contradiction(depth: int) -> bool:
             return strict_everywhere or depth <= STRICT_DEPTH
 
+        superset = engine.superset
+        views = superset.views
+        lengths, flows, falls = views.length, views.flow, views.falls
+        has_target, targets = views.has_target, views.target
         while worklist:
             offset, depth = worklist.pop()
             if offset in visited:
@@ -250,10 +261,8 @@ class TraceRule(Rule):
             visited.add(offset)
             if state.is_code_start(offset):
                 continue   # joins already-confirmed code
-            instruction = engine.superset.at(offset)
-            if instruction is None or \
-                    not state.can_mark_instruction(offset,
-                                                   instruction.length,
+            if not superset.is_valid(offset) or \
+                    not state.can_mark_instruction(offset, lengths[offset],
                                                    priority):
                 if contradiction(depth):
                     for o, labels, priorities in reversed(undo):
@@ -263,7 +272,7 @@ class TraceRule(Rule):
                     result.derailed_at = offset
                     result.derail_depth = depth
                     result.derail_hit = describe_conflict(
-                        engine, offset, instruction, priority)
+                        engine, offset, superset.at(offset), priority)
                     if undo:
                         result.touched = (lo, hi)
                     else:
@@ -272,42 +281,44 @@ class TraceRule(Rule):
                     return result
                 continue   # prune this path only
 
-            end = min(offset + instruction.length, state.size)
+            length = lengths[offset]
+            end = min(offset + length, state.size)
             labels = state.labels[offset:end]
             undo.append((offset, labels, state.priorities[offset:end]))
             # Non-UNKNOWN bytes are real overwrites.
             result.reclassified += end - offset - labels.count(0)
             lo = min(lo, offset)
             hi = max(hi, end)
-            state.mark_instruction(offset, instruction.length, priority)
+            state.mark_instruction(offset, length, priority)
             result.accepted.add(offset)
 
-            if instruction.flow is FlowKind.CALL:
-                target = instruction.branch_target
-                if target is not None and 0 <= target < state.size:
+            flow = flows[offset]
+            if flow == _CALL:
+                target = targets[offset]
+                if has_target[offset] and 0 <= target < state.size:
                     result.call_targets.add(target)
                     # Defer the continuation: traced only once the
                     # callee is known to return.
-                    result.pending_calls.append((instruction.end,
-                                                 target))
+                    result.pending_calls.append((offset + length, target))
                     continue
-            elif instruction.flow in (FlowKind.JUMP, FlowKind.CJUMP):
-                target = instruction.branch_target
-                if target is not None and 0 <= target < state.size:
+            elif flow == _JUMP or flow == _CJUMP:
+                target = targets[offset]
+                if has_target[offset] and 0 <= target < state.size:
                     worklist.append((target, depth + 1))
-            elif instruction.flow in (FlowKind.IJUMP, FlowKind.ICALL) \
+            elif (flow == _IJUMP or flow == _ICALL) \
                     and engine.config.use_table_resolution:
-                table = resolve_dispatch(engine.superset, engine.image,
-                                         state.is_code_start, instruction)
+                table = resolve_dispatch(superset, engine.image,
+                                         state.is_code_start,
+                                         superset.at(offset))
                 if table is not None:
                     result.resolved_tables.append(table)
                 else:
                     result.unresolved_dispatches.add(offset)
 
-            if instruction.flow is FlowKind.TRAP:
+            if flow == _TRAP:
                 continue   # padding trap: execution never proceeds here
-            if instruction.falls_through and instruction.end < state.size:
-                worklist.append((instruction.end, depth + 1))
+            if falls[offset] and offset + length < state.size:
+                worklist.append((offset + length, depth + 1))
 
         if undo:
             result.touched = (lo, hi)

@@ -12,10 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..analysis.idioms import (FUNCTION_ALIGNMENT, PROLOGUE_THRESHOLD,
                                prologue_score)
+from ..isa.columns import FLOW_CODES
 from ..isa.opcodes import FlowKind
 from ..superset.superset import Superset
+
+_CALL, _JUMP = FLOW_CODES[FlowKind.CALL], FLOW_CODES[FlowKind.JUMP]
 
 
 @dataclass(frozen=True)
@@ -61,17 +66,16 @@ def identify_functions(superset: Superset, starts: set[int], entry: int, *,
         entries.add(entry)
 
     # Direct call targets, and tail-jump targets that open like functions.
-    for offset in starts:
-        instruction = superset.at(offset)
-        if instruction is None or \
-                instruction.flow not in (FlowKind.CALL, FlowKind.JUMP):
-            continue
-        target = instruction.branch_target
+    columns = superset.columns
+    sites = np.fromiter(starts, np.int64, len(starts))
+    sites = sites[columns.has_target[sites]]
+    flows = columns.flow[sites]
+    for flow, target in zip(flows.tolist(), columns.target[sites].tolist()):
         if target not in starts:
             continue
-        if instruction.flow is FlowKind.CALL:
+        if flow == _CALL:
             entries.add(target)
-        elif target % FUNCTION_ALIGNMENT == 0 \
+        elif flow == _JUMP and target % FUNCTION_ALIGNMENT == 0 \
                 and prologue_score(superset, target) >= PROLOGUE_THRESHOLD:
             entries.add(target)    # likely tail call
 

@@ -1,8 +1,11 @@
 """Offline table compiler for the x86-64 decoder hot path.
 
-Superset disassembly decodes a candidate instruction at *every byte
-offset* of every text section, so the interpretive table walk in
-:mod:`repro.isa.decoder` is the floor under every workload.  This module
+The superset builds its instructions on demand with one scalar decode
+each, and the listing, the rewriter and the baselines decode
+instruction by instruction, so the interpretive table walk in
+:mod:`repro.isa.decoder` would be paid on every one of those paths;
+the plans emitted here are also the opcode table of the superset's
+whole-section array decoder (:mod:`repro.isa.columns`).  This module
 lowers the opcode tables (:data:`~repro.isa.tables.ONE_BYTE`,
 :data:`~repro.isa.tables.TWO_BYTE`, the ModRM groups) plus the
 prefix/REX/ModRM/SIB/immediate grammar into a specialized generated
@@ -67,8 +70,12 @@ import sys
 from pathlib import Path
 
 from .decoder import _LOCKABLE, _NO_GPR_SEMANTICS, _RAX_IMPLICIT
-from .opcodes import (IMPLICIT_EFFECTS, READS_ONLY, WRITE_ONLY_DEST,
-                      Encoding, GroupEntry, ImmSize, OpcodeInfo)
+from .opcodes import (ENC_ENTER, ENC_MOFFS, F_BYTEOP, F_DEF64, F_DEF64OVR,
+                      F_IMM1, F_LOCKABLE, F_NOADDR, F_NOCHECKS, F_RARE,
+                      F_RENAME, F_RFLAGS, F_RM8, F_RM16, F_RM32, F_WFLAGS,
+                      F_XCHGPAIR, IMPLICIT_EFFECTS, READS_ONLY,
+                      WRITE_ONLY_DEST, Encoding, GroupEntry, ImmSize,
+                      OpcodeInfo)
 from .registers import RCX
 from .tables import (FLAG_READERS, FLAG_WRITERS, LEGACY_PREFIXES, ONE_BYTE,
                      TWO_BYTE)
@@ -89,36 +96,18 @@ GENERATED_PATH = Path(__file__).with_name("_compiled.py")
 # ek    effect kind: 0 static (reads/writes are final frozensets),
 #       1 read-dest, 2 write-dest-only (pop/lea), 3 xchg, 4 reads-only,
 #       5 write-dest-read-src, 6 read-modify-write, 7 no GPR semantics
-# flags bitfield, see F_* below
+# flags bitfield, see F_* (defined in repro.isa.opcodes)
 # group None, or the 8 merged ModRM.reg sub-plans
 # extra None, or the operand-size rename map for cwde/cdq
 # tpl   dict of the plan-constant Instruction fields (mnemonic, flow,
 #       flag booleans, base rarity); the engine copies it per decode
 # ---------------------------------------------------------------------------
 
-F_BYTEOP = 1 << 0     # fixed 8-bit operand size
-F_DEF64 = 1 << 1      # operand size defaults to 64-bit
-F_DEF64OVR = 1 << 2   # group entry re-applies the 64-bit default
-F_RARE = 1 << 3       # essentially never in compiler output
-F_NOADDR = 1 << 4     # hint: memory operand's address regs are not read
-F_LOCKABLE = 1 << 5   # LOCK prefix legal (with a memory destination)
-F_XCHGPAIR = 1 << 6   # O-encoded xchg: operands are (rAX, reg)
-F_IMM1 = 1 << 7       # D0/D1 shifts: implicit ImmOp(1, 8)
-F_RENAME = 1 << 8     # mnemonic renames with operand size (extra map)
-F_RM8 = 1 << 9        # r/m operand is 8-bit  (movzx/movsx from r/m8)
-F_RM16 = 1 << 10      # r/m operand is 16-bit (movzx/movsx from r/m16)
-F_RM32 = 1 << 11      # r/m operand is 32-bit (movsxd)
-F_RFLAGS = 1 << 12    # reads the arithmetic flags
-F_WFLAGS = 1 << 13    # writes the arithmetic flags
-F_NOCHECKS = 1 << 14  # mov_moffs/enter skip the length and lock checks
-
 _ENC_CODES = {
     Encoding.NONE: 0, Encoding.MR: 1, Encoding.RM: 2, Encoding.RMI: 3,
     Encoding.M: 4, Encoding.MI: 5, Encoding.I: 6, Encoding.O: 7,
     Encoding.OI: 8, Encoding.D: 9,
 }
-ENC_MOFFS = 10
-ENC_ENTER = 11
 
 _IMM_CODES = {ImmSize.NONE: 0, ImmSize.B: 1, ImmSize.W: 2, ImmSize.Z: 3,
               ImmSize.V: 4}

@@ -3,8 +3,9 @@
 The public entry points are :func:`decode`, which decodes the instruction
 starting at a given offset (raising a :class:`~repro.isa.errors.DecodeError`
 subclass on failure), and :func:`try_decode`, which returns ``None``
-instead of raising.  Superset disassembly calls :func:`try_decode` at
-every offset of a text section.
+instead of raising.  The superset builds its instructions on demand
+through :func:`try_decode`; its per-offset columns come from the
+whole-section array decoder in :mod:`repro.isa.columns`.
 """
 
 from __future__ import annotations
@@ -444,7 +445,7 @@ def _effects(mnemonic: str, encoding: Encoding,
 # ---------------------------------------------------------------------------
 # Backend selection seam
 #
-# The hot path normally runs the generated engine (repro.isa._compiled,
+# Scalar decodes normally run the generated engine (repro.isa._compiled,
 # produced by ``python -m repro.isa.compile_tables``); the interpretive
 # decoder above stays available -- unchanged -- as the differential-
 # testing oracle.  ``REPRO_DECODER=interp`` forces the oracle for every

@@ -112,6 +112,29 @@ def op(mnemonic: str, encoding: Encoding = Encoding.NONE, *,
                       rare, default_64)
 
 
+# Flag bits and special encoding codes of the decode plans that
+# repro.isa.compile_tables lowers these tables into (the compiled engine
+# and the superset's array decoder both dispatch on them).
+F_BYTEOP = 1 << 0     # fixed 8-bit operand size
+F_DEF64 = 1 << 1      # operand size defaults to 64-bit
+F_DEF64OVR = 1 << 2   # group entry re-applies the 64-bit default
+F_RARE = 1 << 3       # essentially never in compiler output
+F_NOADDR = 1 << 4     # hint: memory operand's address regs are not read
+F_LOCKABLE = 1 << 5   # LOCK prefix legal (with a memory destination)
+F_XCHGPAIR = 1 << 6   # O-encoded xchg: operands are (rAX, reg)
+F_IMM1 = 1 << 7       # D0/D1 shifts: implicit ImmOp(1, 8)
+F_RENAME = 1 << 8     # mnemonic renames with operand size (extra map)
+F_RM8 = 1 << 9        # r/m operand is 8-bit  (movzx/movsx from r/m8)
+F_RM16 = 1 << 10      # r/m operand is 16-bit (movzx/movsx from r/m16)
+F_RM32 = 1 << 11      # r/m operand is 32-bit (movsxd)
+F_RFLAGS = 1 << 12    # reads the arithmetic flags
+F_WFLAGS = 1 << 13    # writes the arithmetic flags
+F_NOCHECKS = 1 << 14  # mov_moffs/enter skip the length and lock checks
+
+ENC_MOFFS = 10        # mov rAX <-> moffs64 (8-byte absolute address)
+ENC_ENTER = 11        # enter imm16, imm8
+
+
 #: Condition-code suffixes indexed by the low nibble of Jcc/SETcc/CMOVcc.
 CONDITION_CODES = (
     "o", "no", "b", "ae", "e", "ne", "be", "a",

@@ -19,8 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..analysis.cfg import ControlFlowGraph, build_cfg, flow_in
+from ..analysis.cfg import ControlFlowGraph, build_cfg
 from ..formats.hints import FormatHints
+from ..isa.columns import flow_in
 from ..isa.instruction import Instruction
 from ..isa.opcodes import FlowKind
 from ..result import DisassemblyResult
@@ -178,8 +179,7 @@ class LintContext:
         """(site, instruction, target) for accepted direct jumps/calls."""
         cfg = self.cfg
         sites = cfg.starts[cfg.branches].tolist()
-        return list(zip(sites,
-                        map(self.superset.instructions.__getitem__, sites),
+        return list(zip(sites, map(self.superset.at, sites),
                         cfg.targets[cfg.branches].tolist()))
 
     @cached_property

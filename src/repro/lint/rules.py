@@ -49,19 +49,20 @@ CALL_PROBE_DEPTH = 4
             "accepted instruction does not decode at its claimed length")
 def check_undecodable(ctx: LintContext,
                      severity: Severity) -> Iterator[Diagnostic]:
+    superset = ctx.superset
+    decoded = superset.views.length
     for start in ctx.sorted_starts:
         length = ctx.result.instructions[start]
-        candidate = ctx.superset.at(start)
-        if candidate is None:
+        if not superset.is_valid(start):
             yield Diagnostic(
                 "undecodable-instruction", severity, start, start + length,
                 f"accepted instruction at {start:#x} does not decode",
                 suggestion="data")
-        elif candidate.length != length:
+        elif decoded[start] != length:
             yield Diagnostic(
                 "undecodable-instruction", severity, start, start + length,
                 f"accepted instruction at {start:#x} claims {length} bytes "
-                f"but decodes to {candidate.length}")
+                f"but decodes to {decoded[start]}")
 
 
 @R.register("instruction-overlap", Severity.ERROR,

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..isa.columns import token_names
 from ..superset.superset import ChainWindows, Superset
 from .datamodel import AsciiRun, DataByteModel, find_ascii_runs
-from .ngram import NgramModel, START, token_of
+from .ngram import NgramModel, START
 
 #: Score assigned to offsets with no valid candidate at all.
 UNDECODABLE_SCORE = -10.0
@@ -109,12 +110,9 @@ class StatisticalScorer:
         ``(p, succ p)``.  They are summed along the window in the order
         the terms occur; a term past a chain's end is 0.0.
         """
-        vocabulary: dict[str, int] = {}
-        tokens = np.array([vocabulary.setdefault(token_of(ins),
-                                                 len(vocabulary))
-                           for ins in windows.encodings] + [-1])[windows.kinds]
-        names = [*vocabulary, START]
-        start = np.full_like(tokens, len(vocabulary))
+        tokens = windows.column("token", -1).astype(np.int64)
+        names = [*token_names(), START]
+        start = np.full_like(tokens, len(names) - 1)
         after = tokens[windows.succ]
         first, second, third = (np.zeros(len(tokens)) for _ in range(3))
         for term, context, token in ((first, (start, start), tokens),

@@ -1,5 +1,5 @@
 """Superset disassembly: every decodable offset as a candidate."""
 
-from .superset import Superset, no_overlap
+from .superset import Superset
 
-__all__ = ["Superset", "no_overlap"]
+__all__ = ["Superset"]

@@ -10,16 +10,13 @@ the paper's approach.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
+from ..isa.columns import COLUMNS, Columns, decode_columns
 from ..isa.decoder import decoder_backend, try_decode
 from ..isa.instruction import Instruction
-from ..isa.opcodes import NO_FALLTHROUGH
 from ..isa.tables import MAX_INSTRUCTION_LENGTH
 from ..obs.metrics import REGISTRY
 
@@ -34,45 +31,56 @@ DECODE_WINDOW = 2 * MAX_INSTRUCTION_LENGTH + 2
 CHAIN_WINDOW = 6
 
 
-@dataclass
 class Superset:
-    """All candidate instructions of a text section, indexed by offset."""
+    """All candidate instructions of a text section, indexed by offset.
 
-    text: bytes
-    instructions: list[Instruction | None]
+    The candidates are held as per-offset columns (see
+    :mod:`repro.isa.columns`); :meth:`at` builds an
+    :class:`Instruction` only when a caller asks for one.
+    """
+
+    def __init__(self, text: bytes, columns: Columns,
+                 built: dict[int, Instruction] | None = None) -> None:
+        self.text = text
+        self.columns = columns
+        #: The columns as memoryviews, for per-offset reads in Python
+        #: loops (an item is a Python scalar, not a numpy one).
+        self.views = Columns(**{name: memoryview(getattr(columns, name))
+                                for name in COLUMNS})
+        self._valid = self.views.valid
+        #: The instructions :meth:`at` has built so far, by offset.
+        self.built = {} if built is None else built
 
     @classmethod
     def build(cls, text: bytes) -> Superset:
-        """Decode a candidate at every offset (None where decoding fails).
-
-        The decoder is read through this module's ``try_decode`` at
-        call time, so the ``REPRO_DECODER`` seam and test doubles apply.
-        """
-        instructions = list(map(try_decode, repeat(text), range(len(text))))
+        """Decode the candidate at every offset, in whole-section array
+        passes."""
         _DECODED_OFFSETS.inc(len(text), backend=decoder_backend())
-        return cls(text=text, instructions=instructions)
+        return cls(text, decode_columns(text))
 
     def __len__(self) -> int:
         return len(self.text)
 
     def at(self, offset: int) -> Instruction | None:
-        """The candidate starting at ``offset`` (None if undecodable)."""
-        if 0 <= offset < len(self.instructions):
-            return self.instructions[offset]
+        """The candidate starting at ``offset`` (None if undecodable).
+
+        Built on first use through this module's ``try_decode``, read at
+        call time, so the ``REPRO_DECODER`` seam and test doubles apply.
+        """
+        if 0 <= offset < len(self._valid) and self._valid[offset]:
+            instruction = self.built.get(offset)
+            if instruction is None:
+                instruction = self.built[offset] = try_decode(self.text,
+                                                              offset)
+            return instruction
         return None
 
     def is_valid(self, offset: int) -> bool:
-        return self.at(offset) is not None
+        return 0 <= offset < len(self._valid) and self._valid[offset]
 
     @cached_property
-    def valid_offsets(self) -> list[int]:
-        return [o for o, ins in enumerate(self.instructions)
-                if ins is not None]
-
-    @cached_property
-    def invalid_offsets(self) -> frozenset[int]:
-        return frozenset(o for o, ins in enumerate(self.instructions)
-                         if ins is None)
+    def valid_offsets(self) -> np.ndarray:
+        return np.flatnonzero(self.columns.valid)
 
     def fallthrough_chain(self, offset: int, limit: int) -> list[Instruction]:
         """Up to ``limit`` candidates following only fall-through edges.
@@ -104,9 +112,16 @@ class Superset:
         """The chain windows of ``roots`` alone (an undecodable root
         gets an empty one), read from their window closure only: at
         most :data:`CHAIN_WINDOW` instructions per root."""
-        reached = {ins.offset for root in roots
-                   for ins in self.fallthrough_chain(root, CHAIN_WINDOW)}
-        return ChainWindows(self, sorted(reached), roots)
+        columns = self.columns
+        roots = np.asarray(roots, dtype=np.int64)
+        step = roots[columns.valid[roots]]
+        reached = [step]
+        for _ in range(1, CHAIN_WINDOW):
+            ends = step + columns.length[step]
+            step = ends[columns.falls[step] & (ends < len(self))]
+            step = step[columns.valid[step]]
+            reached.append(step)
+        return ChainWindows(self, np.unique(np.concatenate(reached)), roots)
 
 
 class ChainWindows:
@@ -117,35 +132,23 @@ class ChainWindows:
     maps a position to its fall-through successor (``m`` where the
     chain stops) and ``steps[k, i]`` is the k-th window instruction of
     root ``i``, so a window term is at most :data:`CHAIN_WINDOW` gathers
-    of per-position columns whose sentinel row is neutral.  Decoding is
-    a pure function of the encoded bytes, so instruction properties are
-    read once per distinct encoding and spread through ``kinds``.
+    of per-position columns (:meth:`column`) whose sentinel row is
+    neutral.
     """
 
-    def __init__(self, superset: Superset, offsets: list[int],
-                 roots: list[int]) -> None:
-        reached = list(map(superset.instructions.__getitem__, offsets))
-        raws = list(map(attrgetter("raw"), reached))
-        encoding = dict(zip(raws, reached))
-        index = dict(zip(encoding, range(len(encoding))))
-        self.encodings = list(encoding.values())
-        self.kinds = np.append(np.fromiter(map(index.__getitem__, raws),
-                                           np.int64, len(raws)), len(index))
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.roots = (self.offsets if roots is offsets
-                      else np.asarray(roots, dtype=np.int64))
+    def __init__(self, superset: Superset, offsets: np.ndarray,
+                 roots: np.ndarray) -> None:
+        self.columns = superset.columns
+        self.offsets = offsets
+        self.roots = roots
         m = len(offsets)
-        # An instruction's length is the size of its encoding.
-        self.ends = self.column(np.fromiter(map(len, encoding), np.int64,
-                                            len(encoding)))
-        self.ends[:m] += self.offsets
-        self.flows = self.attribute("flow", object)
-        self.falls = self.column(~np.logical_or.reduce(
-            [self.flows == kind for kind in NO_FALLTHROUGH]))
+        self.ends = self.column("length").astype(np.int64)
+        self.ends[:m] += offsets
+        self.falls = self.column("falls")
         position = np.full(len(superset) + 1, m)
-        position[self.offsets] = np.arange(m)
+        position[offsets] = np.arange(m)
         self.succ = np.where(self.falls, position[self.ends], m)
-        steps = [position[self.roots]]
+        steps = [position[roots]]
         for _ in range(1, CHAIN_WINDOW):
             steps.append(self.succ[steps[-1]])
         self.steps = np.array(steps)
@@ -153,44 +156,11 @@ class ChainWindows:
         self.length = (self.steps < m).sum(axis=0)
         self.last = self.steps[self.length - 1, np.arange(len(roots))]
 
-    @cached_property
-    def relative_targets(self) -> tuple[np.ndarray, ...]:
-        """Per encoding: has a direct jump/call target, that target minus
-        the offset, has a RIP-relative target, that one minus the offset
-        (0 where absent; decoding is position independent)."""
-        columns = []
-        for targets in ([ins.branch_target if ins.is_direct_branch else None
-                         for ins in self.encodings],
-                        list(map(attrgetter("rip_target"), self.encodings))):
-            columns += [np.array([t is not None for t in targets], bool),
-                        np.array([0 if t is None else t - ins.offset for t, ins
-                                  in zip(targets, self.encodings)], np.int64)]
-        return tuple(columns)
-
-    def attribute(self, name: str, dtype, convert=None) -> np.ndarray:
-        """Attribute ``name`` (through ``convert``) of every encoding."""
-        values = map(attrgetter(name), self.encodings)
-        if convert is not None:
-            values = map(convert, values)
-        return np.fromiter(values, dtype, len(self.encodings))
-
-    def column(self, values: np.ndarray) -> np.ndarray:
-        """Per-position column of per-encoding ``values``, with a zero
-        sentinel row."""
-        return np.append(values, values.dtype.type(0))[self.kinds]
-
-
-def no_overlap(starts: set[int], superset: Superset) -> bool:
-    """True when the chosen instruction starts are mutually non-overlapping."""
-    covered_until = -1
-    for start in sorted(starts):
-        ins = superset.at(start)
-        if ins is None:
-            return False
-        if start < covered_until:
-            return False
-        covered_until = ins.end
-    return True
+    def column(self, name: str, sentinel=0) -> np.ndarray:
+        """Per-position values of the superset column ``name``, with a
+        ``sentinel`` row."""
+        values = getattr(self.columns, name)
+        return np.append(values[self.offsets], values.dtype.type(sentinel))
 
 
 _SUPERSET_CACHE = REGISTRY.counter(
@@ -212,7 +182,7 @@ _DECODE_ERRORS = REGISTRY.counter(
 def _cached_build(text: bytes) -> Superset:
     _SUPERSET_CACHE.inc(outcome="miss")
     superset = Superset.build(text)
-    _DECODE_ERRORS.inc(superset.instructions.count(None))
+    _DECODE_ERRORS.inc(len(text) - len(superset.valid_offsets))
     return superset
 
 

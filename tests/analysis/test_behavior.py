@@ -60,8 +60,9 @@ class TestScoreAll:
     def test_shape_and_floor(self, msvc_superset):
         scores = BehaviorAnalyzer().score_all(msvc_superset)
         assert scores.shape == (len(msvc_superset),)
-        for offset in msvc_superset.invalid_offsets:
-            assert scores[offset] == INVALID_FALLTHROUGH
+        for offset in range(len(msvc_superset)):
+            if msvc_superset.at(offset) is None:
+                assert scores[offset] == INVALID_FALLTHROUGH
 
     def test_separates_code_from_data(self, msvc_case, msvc_superset):
         scores = BehaviorAnalyzer().score_all(msvc_superset)

@@ -1,8 +1,8 @@
 """Tests for the def-use counts of the behavior kernel."""
 
-from repro.analysis.behavior import (CONVENTIONALLY_LIVE, _is_zeroing_idiom,
-                                     chain_counts)
+from repro.analysis.behavior import CONVENTIONALLY_LIVE, chain_counts
 from repro.isa import Assembler, decode
+from repro.isa.columns import is_zeroing_idiom
 from repro.isa.registers import R10, R11, R13, RAX, RCX, RDI
 from repro.superset import Superset
 
@@ -50,12 +50,14 @@ class TestZeroingIdiom:
         assert signals.defuse_pairs >= 1
 
     def test_xor_with_other_register_is_not_idiom(self):
-        ins = decode(assembled(lambda a: a.alu_rr("xor", RAX, RCX)), 0)
-        assert not _is_zeroing_idiom(ins)
+        raw = assembled(lambda a: a.alu_rr("xor", RAX, RCX))
+        assert not is_zeroing_idiom(decode(raw, 0))
+        assert not Superset.build(raw).columns.zeroing[0]
 
     def test_sub_self_is_idiom(self):
-        ins = decode(assembled(lambda a: a.alu_rr("sub", RAX, RAX)), 0)
-        assert _is_zeroing_idiom(ins)
+        raw = assembled(lambda a: a.alu_rr("sub", RAX, RAX))
+        assert is_zeroing_idiom(decode(raw, 0))
+        assert Superset.build(raw).columns.zeroing[0]
 
 
 class TestFlags:

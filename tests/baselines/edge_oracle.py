@@ -17,6 +17,11 @@ from repro.isa.opcodes import FlowKind
 from repro.superset import Superset
 
 
+def candidates(superset: Superset):
+    """``(offset, instruction or None)`` at every offset."""
+    return ((offset, superset.at(offset)) for offset in range(len(superset)))
+
+
 def successors(superset: Superset, offset: int) -> list[int]:
     """Fall-through (if any) plus the in-section direct target (if any)."""
     ins = superset.at(offset)
@@ -34,7 +39,7 @@ def successors(superset: Superset, offset: int) -> list[int]:
 def direct_predecessors(superset: Superset) -> dict[int, list[int]]:
     """offset -> candidates that branch directly to it."""
     preds: dict[int, list[int]] = {}
-    for offset, ins in enumerate(superset.instructions):
+    for offset, ins in candidates(superset):
         if ins is None:
             continue
         target = ins.branch_target
@@ -46,7 +51,7 @@ def direct_predecessors(superset: Superset) -> dict[int, list[int]]:
 def direct_call_targets(superset: Superset) -> dict[int, int]:
     """target offset -> number of candidate call sites reaching it."""
     counts: dict[int, int] = {}
-    for ins in superset.instructions:
+    for _, ins in candidates(superset):
         if ins is None or ins.flow is not FlowKind.CALL:
             continue
         target = ins.branch_target
@@ -58,7 +63,7 @@ def direct_call_targets(superset: Superset) -> dict[int, int]:
 def hint_inputs(superset: Superset, dead: np.ndarray):
     """``_hint_inputs`` from the per-offset walks above."""
     size = len(superset)
-    alive = [o for o in superset.valid_offsets if not dead[o]]
+    alive = [o for o in superset.valid_offsets.tolist() if not dead[o]]
     predecessors = direct_predecessors(superset)
     call_targets = direct_call_targets(superset)
     windows = superset.windows

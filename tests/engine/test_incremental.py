@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 
 from repro.core import Disassembler, FactBase, disassemble_incremental
 from repro.core.engine import diff_spans
-from repro.superset.superset import CHAIN_WINDOW, ChainWindows
+from repro.core.engine.incremental import IncrementalStats, _patch_superset
+from repro.isa.columns import COLUMNS
+from repro.isa.decoder import try_decode
+from repro.superset.superset import (CHAIN_WINDOW, DECODE_WINDOW,
+                                     ChainWindows, Superset)
 from repro.synth import BinarySpec, GCC_LIKE, MSVC_LIKE, generate_binary
 
 
@@ -87,6 +91,75 @@ class TestRandomPatches:
         assert_identical(incremental, cold)
         assert stats.redecoded <= stats.total
         assert 0.0 <= stats.reused_fraction <= 1.0
+
+
+def assert_same_superset(patched_superset, cold):
+    """Columns and on-demand instructions of a patched superset equal a
+    cold build's at every offset."""
+    for name in COLUMNS:
+        assert np.array_equal(getattr(patched_superset.columns, name),
+                              getattr(cold.columns, name)), name
+    text = cold.text
+    assert [patched_superset.at(o) for o in range(len(text))] == [
+        try_decode(text, o) for o in range(len(text))]
+
+
+class TestSupersetPatches:
+    """Patches where a column splice is easiest to get wrong."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(back=st.integers(min_value=1, max_value=DECODE_WINDOW),
+           value=st.integers(min_value=0, max_value=255))
+    def test_patch_near_the_end_equals_cold(self, snapshot, small_case,
+                                            back, value):
+        # Within a decode window of the end, truncation decides validity.
+        disassembler, base = snapshot
+        text = small_case.text
+        target = patched(small_case, {len(text) - back: value})
+        incremental, stats = disassemble_incremental(disassembler, base,
+                                                     target)
+        cold = Disassembler().disassemble_rich(target)
+        assert not stats.cold
+        assert_identical(incremental, cold)
+        assert_same_superset(incremental.superset, cold.superset)
+
+    @pytest.mark.parametrize("becomes_valid", [False, True])
+    def test_patch_flips_an_offset(self, snapshot, small_case,
+                                   becomes_valid):
+        disassembler, base = snapshot
+        superset = base.superset
+        # 06 is undefined in 64-bit mode; 90 is a one-byte nop.
+        value = 0x90 if becomes_valid else 0x06
+        offset = next(o for o in range(len(superset))
+                      if superset.is_valid(o) != becomes_valid)
+        target = patched(small_case, {offset: value})
+        incremental, stats = disassemble_incremental(disassembler, base,
+                                                     target)
+        assert incremental.superset.is_valid(offset) == becomes_valid
+        cold = Disassembler().disassemble_rich(target)
+        assert not stats.cold
+        assert_identical(incremental, cold)
+        assert_same_superset(incremental.superset, cold.superset)
+
+    @settings(max_examples=15, deadline=None)
+    @given(offset=st.integers(min_value=0, max_value=1 << 16),
+           value=st.integers(min_value=0, max_value=255))
+    def test_no_instruction_built_before_the_patch_is_served_again(
+            self, small_case, offset, value):
+        text = small_case.text
+        offset %= len(text)
+        old = Superset.build(text)
+        before = {o: old.at(o) for o in range(len(text))}   # build all
+        new_text = text[:offset] + bytes([value]) + text[offset + 1:]
+        spans = diff_spans(text, new_text)
+        new = _patch_superset(old, new_text, spans,
+                              IncrementalStats(total=len(new_text)))
+        window = range(max(0, offset - DECODE_WINDOW + 1), offset + 1)
+        for o in window if spans else ():
+            assert o not in new.built
+            if before[o] is not None:
+                assert new.at(o) is not before[o]
+        assert_same_superset(new, Superset.build(new_text))
 
 
 class TestStructuredCases:

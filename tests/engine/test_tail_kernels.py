@@ -107,7 +107,8 @@ class TestReturningMemo:
     def test_memo_matches_memo_free_walks(self, traced_runs, name):
         engine = traced_runs[name][0]
         superset = engine.superset
-        calls = sorted({ins.branch_target for ins in superset.instructions
+        candidates = map(superset.at, range(len(superset)))
+        calls = sorted({ins.branch_target for ins in candidates
                         if ins is not None and ins.flow is FlowKind.CALL
                         and ins.branch_target is not None
                         and 0 <= ins.branch_target < len(superset)})
@@ -140,7 +141,8 @@ class TestReturningMemo:
             traced = FactEngine(engine.superset, engine.scores,
                                 engine.config, image=engine.image)
             traced.state = engine.state
-            for offset, ins in enumerate(engine.superset.instructions):
+            for offset in range(len(engine.superset)):
+                ins = engine.superset.at(offset)
                 if ins is None or ins.flow is not FlowKind.IJUMP:
                     continue
                 targets = empty.speculative_dispatch_targets(offset)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from repro.analysis import behavior as b
+from repro.isa.columns import is_zeroing_idiom
 from repro.isa.opcodes import FlowKind
 from repro.isa.registers import RAX, RBP, RSP
 from repro.stats.ngram import START, token_of
@@ -35,7 +36,7 @@ def defuse_counts(chain):
     defined, flags_defined = set(), False
     pairs = anomalies = flag_pairs = flag_anomalies = 0
     for ins in chain:
-        for register in (frozenset() if b._is_zeroing_idiom(ins)
+        for register in (frozenset() if is_zeroing_idiom(ins)
                          else ins.reads):
             if register in defined:
                 pairs += 1

@@ -2,7 +2,20 @@
 
 from repro.isa import Assembler
 from repro.isa.registers import RAX
-from repro.superset import Superset, no_overlap
+from repro.superset import Superset
+
+
+def no_overlap(starts: set[int], superset: Superset) -> bool:
+    """True when the chosen instruction starts are mutually non-overlapping."""
+    covered_until = -1
+    for start in sorted(starts):
+        ins = superset.at(start)
+        if ins is None:
+            return False
+        if start < covered_until:
+            return False
+        covered_until = ins.end
+    return True
 
 
 def five_byte_mov() -> Superset:

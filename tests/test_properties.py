@@ -13,8 +13,10 @@ from repro import Disassembler
 from repro.baselines import oracle
 from repro.eval.metrics import evaluate
 from repro.stats.training import default_models
-from repro.superset import Superset, no_overlap
+from repro.superset import Superset
 from repro.synth import BinarySpec, STYLES, generate_binary
+
+from .superset.test_conflicts import no_overlap
 
 SEEDS = st.integers(min_value=100, max_value=400)
 STYLE = st.sampled_from(sorted(STYLES))
